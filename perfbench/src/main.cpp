@@ -104,14 +104,20 @@ bool report(uint64_t attempted, uint64_t failed, bool valid) {
 
 int run_untraced(const Args& a, Workload& w) {
   std::vector<double> setups;
-  for (int r = 0; r < w.setup_reps(); ++r) {
-    if (r > 0) w.teardown();
+  const auto timed_setup = [&] {
     const auto t0 = Clock::now();
     w.setup(false);
     setups.push_back(ms_between(t0, Clock::now()) / 1e3);
-  }
+  };
+  // The measured phase runs on the process's first Runtime, the only one
+  // whose speed repeats from run to run; the other setups come after it.
+  timed_setup();
   const Phase ph = w.run(a.seconds, 3);
   w.teardown();
+  for (int r = 1; r < w.setup_reps(); ++r) {
+    timed_setup();
+    w.teardown();
+  }
   Metrics m;
   end_to_end(ph, m);
   m["setup_s"] = {quantile(setups, 0.5), "s"};

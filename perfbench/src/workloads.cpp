@@ -38,7 +38,6 @@ std::unique_ptr<Runtime> make_runtime(const Runtime::Builder& b) {
 class ClosedLoop : public Workload {
  public:
   void setup(bool traced) final {
-    traced_ = traced;
     rt_ = make_runtime(builder().threads(p_.threads).seed(p_.seed).tracing(
         traced));
     // The warm-up op takes no layer samples.
@@ -53,24 +52,19 @@ class ClosedLoop : public Workload {
   }
   void teardown() override { rt_.reset(); }
 
+  /// Runs every op on the Runtime the last setup() built. Which instance
+  /// that is matters: on a 4-vCPU x86-64 VM, instances built after another
+  /// was torn down run every op at one of two speeds 25-40% apart, picked
+  /// afresh per instance, while the first instance of a process runs at
+  /// the same speed in every run. An untraced run therefore measures on the
+  /// process's first Runtime (see run_untraced in main.cpp).
   Phase run(double seconds, size_t min_ops) override {
-    // A Runtime's worker threads keep their placement for its lifetime, and
-    // on a shared VM about one instance in five runs every op ~40% slower.
-    // Spreading a run over kRuntimes fresh instances keeps one unlucky
-    // instance from setting the run's median. Rebuilds are not timed.
-    constexpr int kRuntimes = 4;
     Phase ph;
     samples_.clear();
     measuring_ = true;
     const auto start = Clock::now();
-    auto built = start;
     for (size_t i = 0; ph.attempted < min_ops || secs_since(start) < seconds;
          ++i) {
-      if (secs_since(built) > seconds / kRuntimes) {
-        teardown();
-        setup(traced_);
-        built = Clock::now();
-      }
       ++ph.attempted;
       prepare(i);
       bool ok = false;
@@ -130,7 +124,6 @@ class ClosedLoop : public Workload {
   std::unique_ptr<Runtime> rt_;
 
  private:
-  bool traced_ = false;
   bool measuring_ = false;
   std::map<std::string, std::vector<double>> samples_;
 };
