@@ -96,9 +96,7 @@ inline void orp_attempt(const slice<obl::Elem>& in,
     cl[i] = (same_bin && !cur.e.is_filler() && cur.label == prev.label) ? 1u
                                                                         : 0u;
   });
-  uint64_t collisions = 0;
-  for (size_t i = 0; i < total; ++i) collisions += cl[i];
-  if (collisions != 0) throw obl::BinOverflow{};
+  if (obl::reduce_sum(cl) != 0) throw obl::BinOverflow{};
 
   // Reveal loads: compact the real elements to the front (prefix sums).
   // Input fillers (power-of-two padding) were dropped by ORBA and are

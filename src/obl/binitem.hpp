@@ -1,5 +1,5 @@
 #pragma once
-// The record shapes oblivious bin placement moves through its sorts, plus
+// The record shapes oblivious bin placement moves through its sort, plus
 // the traits a user record must provide (split out of binplace.hpp so the
 // sorter-backend interface can name the closed set of sortable records
 // without pulling in the placement algorithm itself).
@@ -21,9 +21,9 @@ struct RecordTraits<Elem> {
   static Elem filler() { return Elem::filler(); }
 };
 
-/// Work record of bin placement: the user record plus a scratch sort key.
-/// The two low bits of skey encode the class (real=0, temp=1), the rest
-/// the bin id; fillers get the sink key.
+/// Work record of bin placement: the user record plus a scratch key.
+/// skey holds a real's bin id while sorting and its target slot while
+/// routing; fillers carry the sink key throughout.
 template <class R>
 struct BinItem {
   R r;

@@ -7,31 +7,36 @@
 // *promised* that no bin receives more than Z elements (overflow is
 // detected and reported so callers can re-randomize; see core/orba.hpp).
 //
-// Realized with O(1) oblivious sorts + one segmented scan:
-//   1. append Z "temp" elements per bin (so every bin has >= Z candidates),
-//   2. sort by (bin, real-before-temp),
-//   3. mark everything at offset >= Z within its bin as excess,
-//   4. sort the excess and input fillers to the back,
-//   5. keep the first beta*Z slots; temps become fillers.
+// Realized with one oblivious sort, one segmented scan and one monotone
+// distribution:
+//   1. key every input by its bin (fillers get the sink key) and sort the
+//      pow2_ceil(|in|) items, so the reals form a prefix grouped by bin,
+//   2. the segmented head scan gives each real its offset within its bin;
+//      any offset >= Z is an overflow,
+//   3. target = bin*Z + offset — strictly increasing along the prefix and
+//      never below the source position (earlier bins hold <= Z reals each),
+//   4. obl::distribute_monotone routes every real to its target; slots
+//      that receive no real become fillers.
 // All data-dependent decisions go through branchless selects; the access
 // pattern is a fixed function of (|input|, beta, Z).
 //
 // The routine is generic over the record type R through a Traits policy so
 // REC-ORBA can route (label, element) pairs; RecordTraits<obl::Elem>
-// (obl/binitem.hpp) is the default for plain Elem arrays. The sorts go
+// (obl/binitem.hpp) is the default for plain Elem arrays. The sort goes
 // through the type-erased SorterBackend, so R is limited to the record set
 // the backend interface names (Elem and core::Routed).
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <stdexcept>
 
 #include "core/backend.hpp"
-#include "forkjoin/api.hpp"
 #include "obl/binitem.hpp"
 #include "obl/elem.hpp"
 #include "obl/kernel/kernel.hpp"
 #include "obl/oswap.hpp"
+#include "obl/route.hpp"
 #include "obl/scan.hpp"
 #include "sim/tracked.hpp"
 #include "util/bits.hpp"
@@ -71,73 +76,66 @@ void bin_placement(const slice<R>& in, const slice<R>& out, size_t beta,
                    const SorterBackend& sorter = default_backend()) {
   using Item = BinItem<R>;
   assert(out.size() == beta * Z);
-  const size_t n0 = in.size() + beta * Z;
-  const size_t n = util::pow2_ceil(n0);
+  const size_t total = beta * Z;
+  if (total == 0) return;
+  // Sorted prefix, and the routing width (a power of two covering it and
+  // every bin slot).
+  const size_t ns = in.empty() ? 0 : util::pow2_ceil(in.size());
+  const size_t m = std::max<size_t>(ns, util::pow2_ceil(total));
 
-  vec<Item> workv(n);
+  vec<Item> workv(m);
   const slice<Item> w = workv.s();
 
-  // 1. Input elements, then Z temps per bin, then pad fillers.
+  // 1. Key by bin; fillers and padding sink to the back of the sort.
   kernel::generate_range(
-      w, 0, n, kernel::Tick::PerElem, [&](Item& it, size_t i) {
+      w, 0, m, kernel::Tick::PerElem, [&](Item& it, size_t i) {
         if (i < in.size()) {
           it.r = in[i];
           const bool fill = Traits::is_filler(it.r);
           const uint64_t g = fill ? 0 : group(it.r);
-          it.skey = oselect<uint64_t>(fill, Item::kSinkKey, (g << 2) | 0u);
-        } else if (i < n0) {
-          const uint64_t g = (i - in.size()) / Z;
-          it.r = Traits::filler();
-          it.skey = (g << 2) | 1u;  // temp
+          it.skey = oselect<uint64_t>(fill, Item::kSinkKey, g);
         } else {
           it.r = Traits::filler();
           it.skey = Item::kSinkKey;
         }
       });
+  if (ns > 1) sorter.sort(w.sub(0, ns), erase_less<Item>(BinBySkey{}));
 
-  // 2. Sort by (bin, real < temp); fillers sink to the back.
-  sorter.sort(w, erase_less<Item>(BinBySkey{}));
-
-  // 3. Offset within bin via segmented scan of head positions.
-  vec<detail::HeadSeg> segv(n);
+  // 2. Offset within bin via segmented scan of head positions.
+  vec<detail::HeadSeg> segv(ns);
   const slice<detail::HeadSeg> sg = segv.s();
   kernel::generate_range(
-      sg, 0, n, kernel::Tick::PerElem, [&](detail::HeadSeg& v, size_t i) {
-        const uint64_t g = w[i].skey >> 2;
-        const uint64_t gp = w[i == 0 ? 0 : i - 1].skey >> 2;
+      sg, 0, ns, kernel::Tick::PerElem, [&](detail::HeadSeg& v, size_t i) {
+        const uint64_t g = w[i].skey;
+        const uint64_t gp = w[i == 0 ? 0 : i - 1].skey;
         const bool head = (i == 0) || (g != gp);
         v = detail::HeadSeg{i, head ? 1u : 0u};
       });
   scan_inclusive(sg, detail::HeadCombine{});
 
-  // Overflow check: a bin overflows iff some *real* element has offset
-  // >= Z. The reduction below has a fixed pattern over public positions.
-  vec<uint64_t> overflow_flags(n);
+  // 3. Re-key reals by target slot. A bin overflows iff some real has
+  // offset >= Z; the flags are summed over a fixed, public pattern.
+  vec<uint64_t> overflow_flags(ns);
   const slice<uint64_t> of = overflow_flags.s();
-
-  // 4. Re-key: normal -> bin id, excess/filler -> sink.
   kernel::transform_range(
-      w, 0, n, kernel::Tick::PerElem, [&](Item& it, size_t i) {
+      w, 0, ns, kernel::Tick::PerElem, [&](Item& it, size_t i) {
         const uint64_t offset = i - sg[i].head_index;
-        const bool sink = it.skey == Item::kSinkKey;
-        const bool excess = !sink && offset >= Z;
-        const bool real_excess = excess && (it.skey & 3u) == 0u;
-        of[i] = real_excess ? 1u : 0u;
-        it.skey =
-            oselect<uint64_t>(excess || sink, Item::kSinkKey, it.skey >> 2);
-        // Temps that survive become fillers right away; record the class bit
-        // in the sink decision only. (Class info is no longer needed after
-        // this.)
+        const bool real = it.skey != Item::kSinkKey;
+        of[i] = (real && offset >= Z) ? 1u : 0u;
+        it.skey = oselect<uint64_t>(real, it.skey * Z + offset,
+                                    Item::kSinkKey);
       });
-  uint64_t lost = 0;
-  for (size_t i = 0; i < n; ++i) lost += of[i];
-  if (lost != 0) throw BinOverflow{};
+  if (reduce_sum(of) != 0) throw BinOverflow{};
 
-  sorter.sort(w, erase_less<Item>(BinBySkey{}));
+  // 4. Route every real to its slot; the rest become fillers.
+  Item filler;
+  filler.r = Traits::filler();
+  filler.skey = Item::kSinkKey;
+  distribute_monotone(
+      w, [](const Item& it) { return it.skey != Item::kSinkKey; },
+      [](const Item& it) { return it.skey; }, filler);
 
-  // 5. Keep the first beta*Z entries; temps (recognizable as fillers-by-
-  // construction) were already materialized as Traits::filler().
-  kernel::generate_range(out, 0, beta * Z, kernel::Tick::None,
+  kernel::generate_range(out, 0, total, kernel::Tick::None,
                          [&](R& v, size_t i) { v = w[i].r; });
 }
 

@@ -4,8 +4,8 @@
 // Oblivious algorithms move fixed-size records through fixed access
 // patterns; dopar standardizes on a 32-byte trivially-copyable record with
 // a sort/routing key, two 64-bit user fields, and a flag word for the
-// filler/temp/excess markers the paper's building blocks need (Sections
-// C.1, C.2, F). Applications encode their data into Elem (or use the
+// filler/scratch/receiver markers the paper's building blocks need
+// (Sections C.2, F). Applications encode their data into Elem (or use the
 // templated primitives directly with their own trivially-copyable type).
 
 #include <cstdint>
@@ -16,8 +16,7 @@ namespace dopar::obl {
 
 struct Elem {
   static constexpr uint32_t kFiller = 1u << 0;  ///< padding element (⊥)
-  static constexpr uint32_t kTemp = 1u << 1;    ///< bin-placement temp
-  static constexpr uint32_t kExcess = 1u << 2;  ///< bin-placement overflow
+  static constexpr uint32_t kTemp = 1u << 1;    ///< scratch live marker
   static constexpr uint32_t kDest = 1u << 3;    ///< send-receive receiver
   static constexpr uint32_t kNotFound = 1u << 4;  ///< send-receive miss (⊥)
 
@@ -28,8 +27,6 @@ struct Elem {
   uint32_t extra = 0;  ///< spare 32-bit field (keeps the record 32 bytes)
 
   bool is_filler() const { return flags & kFiller; }
-  bool is_temp() const { return flags & kTemp; }
-  bool is_excess() const { return flags & kExcess; }
 
   static Elem filler() {
     Elem e;

@@ -190,7 +190,17 @@ __attribute__((target("avx2"))) void oselect_avx2(void* dst, const void* t,
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(pd + i),
                         _mm256_blendv_epi8(vf, vt, vm));
   }
-  if (i < bytes) oselect_sse2(pd + i, pt + i, pf + i, bytes - i, cond);
+  // The tail stays VEX-encoded: handing it to the legacy-SSE kernel with
+  // the upper ymm halves dirty costs an AVX/SSE transition per call
+  // (~216 ns per 40/48-byte select vs ~3 ns on an AVX2 Xeon VM).
+  if (i + 16 <= bytes) {
+    const __m128i vt = _mm_loadu_si128(reinterpret_cast<const __m128i*>(pt + i));
+    const __m128i vf = _mm_loadu_si128(reinterpret_cast<const __m128i*>(pf + i));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(pd + i),
+                     _mm_blendv_epi8(vf, vt, _mm256_castsi256_si128(vm)));
+    i += 16;
+  }
+  if (i < bytes) oselect_scalar(pd + i, pt + i, pf + i, bytes - i, cond);
 }
 
 __attribute__((target("avx2"))) void oswap_batch_avx2(

@@ -21,12 +21,14 @@
 //    ascending masked swaps never collides.
 //
 //  * distribute_monotone — the inverse direction (Goodrich-style
-//    oblivious distribution): records in a live prefix, each carrying a
-//    target position in .key with targets strictly increasing and
-//    target >= position, spread out to their targets; dead records are
-//    displaced passively. Offset bits are applied MSB-first with
-//    descending masked swaps; strict monotonicity keeps the routing
-//    collision-free.
+//    oblivious distribution), generic over the record type: records in a
+//    live prefix, each carrying a target position with targets strictly
+//    increasing and target >= position, spread out to their targets;
+//    unfilled slots become fillers. Offset bits are applied MSB-first,
+//    each round one parallel double-buffered masked select; strict
+//    monotonicity keeps the routing collision-free. Oblivious bin
+//    placement (obl/binplace.hpp) and rel's batched equi-join both route
+//    through it.
 //
 // Obliviousness: every loop touches a fixed, size-determined sequence of
 // positions; secret-dependent choices happen only inside branchless
@@ -37,14 +39,20 @@
 // contiguous pair run, swap it with one dispatched batch call); under an
 // instrumented session they account their touches per round via
 // touch_range, keeping the cache model fed without perturbing the
-// comparator schedule.
+// comparator schedule. distribute_monotone takes the kernel layer's dual
+// path: per-element ticks and touches under a grain-1 fork tree when
+// instrumented, blocked memcpy + batched masked swaps natively.
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "obl/elem.hpp"
 #include "obl/kernel/dispatch.hpp"
+#include "obl/kernel/kernel.hpp"
 #include "obl/oswap.hpp"
 #include "sim/session.hpp"
 #include "sim/tracked.hpp"
@@ -232,38 +240,121 @@ inline void compact_monotone(const slice<Elem>& a, uint32_t live_flag) {
   }
 }
 
-/// Oblivious monotone distribution: live records (flags & live_flag) in a
-/// prefix of `a` (pow2 size), each carrying its target position in .key
-/// with targets strictly increasing and .key >= position, move to their
-/// targets; dead records are displaced passively. O(m log m) masked
-/// swaps.
-inline void distribute_monotone(const slice<Elem>& a, uint32_t live_flag) {
+namespace route_detail {
+
+/// Routing tag of a slot during distribute_monotone: (remaining offset <<
+/// 1) | live. A dead slot's tag is 0, so it never moves.
+inline bool tag_moves(uint64_t tag, unsigned sh) { return (tag >> sh) & 1; }
+
+/// One MSB-first distribution round with step `step` (offset bit sh - 1),
+/// double-buffered src -> dst: slot i receives src[i - step] if that
+/// record moves, else keeps src[i] (whose tag is cleared if it leaves).
+/// The routing invariant guarantees an arriving record never lands on a
+/// record that stays.
+template <class T>
+void shift_round(const slice<T>& src, const slice<uint64_t>& ts,
+                 const slice<T>& dst, const slice<uint64_t>& td, size_t step,
+                 unsigned sh) {
+  const size_t m = src.size();
+  if (kernel::instrumented()) {
+    kernel::for_each(0, m, [&](size_t i) {
+      sim::tick(1);
+      const uint64_t t = ts[i];
+      const T cur = src[i];
+      uint64_t tp = 0;
+      T prev = cur;
+      if (i >= step) {  // public index test
+        tp = ts[i - step];
+        prev = src[i - step];
+      }
+      const bool in = tag_moves(tp, sh);
+      const uint64_t stay = t & (uint64_t{tag_moves(t, sh)} - 1);
+      dst[i] = oselect(in, prev, cur);
+      td[i] = oselect(in, tp, stay);
+    });
+    return;
+  }
+  // Native: copy every slot and drop leaving tags, then swap each moving
+  // record into its destination with batched masked swaps. The swapped-
+  // out bytes land in src, which the next round (or distribute_monotone's
+  // final pass) overwrites.
+  T* s = src.data();
+  T* d = dst.data();
+  const uint64_t* tsp = ts.data();
+  uint64_t* tdp = td.data();
+  fj::for_blocks(0, m, fj::kDefaultGrain, [&](size_t b0, size_t b1) {
+    std::memcpy(d + b0, s + b0, (b1 - b0) * sizeof(T));
+    for (size_t i = b0; i < b1; ++i) {
+      tdp[i] = tsp[i] & (uint64_t{tag_moves(tsp[i], sh)} - 1);
+    }
+  });
+  fj::for_blocks(0, m - step, fj::kDefaultGrain, [&](size_t b0, size_t b1) {
+    unsigned char mask[kernel::kMaskChunk];
+    for (size_t c0 = b0; c0 < b1; c0 += kernel::kMaskChunk) {
+      const size_t cnt = std::min(kernel::kMaskChunk, b1 - c0);
+      for (size_t k = 0; k < cnt; ++k) {
+        const uint64_t t = tsp[c0 + k];
+        const uint64_t mv = tag_moves(t, sh);
+        mask[k] = static_cast<unsigned char>(mv);
+        uint64_t& dt = tdp[c0 + k + step];
+        dt = (dt & (mv - 1)) | (t & (0 - mv));
+      }
+      kernel::oswap_batch_raw(reinterpret_cast<unsigned char*>(d + c0 + step),
+                              reinterpret_cast<unsigned char*>(s + c0),
+                              sizeof(T), sizeof(T), mask, cnt);
+    }
+  });
+}
+
+}  // namespace route_detail
+
+/// Oblivious monotone distribution (Goodrich-style): the live records of
+/// `a` (pow2 size m) form a prefix, each carrying a target position
+/// target(r) with targets strictly increasing and target >= position.
+/// Every live record moves to its target; unfilled slots become
+/// `filler`. log m MSB-first rounds, each a parallel double-buffered
+/// masked select: O(m log m) work, O(log^2 m) span.
+template <class T, class LiveFn, class TargetFn>
+void distribute_monotone(const slice<T>& a, const LiveFn& live,
+                         const TargetFn& target, const T& filler) {
   const size_t m = a.size();
   assert(util::is_pow2(m) || m == 0);
-  if (m < 2) return;
-  Elem* p = a.data();
-  const bool instr = sim::current_session() != nullptr;
-  if (instr) a.touch_range(0, m);
-  std::vector<uint64_t> d(m);
+  if (m == 0) return;
+#ifndef NDEBUG
   for (size_t i = 0; i < m; ++i) {
-    const bool live = (p[i].flags & live_flag) != 0;
-    assert(!live || (p[i].key >= i && p[i].key < m));
-    d[i] = (p[i].key - i) * static_cast<uint64_t>(live);
+    if (!live(a.raw(i))) continue;
+    assert(i == 0 || live(a.raw(i - 1)));  // live prefix
+    assert(target(a.raw(i)) >= i && target(a.raw(i)) < m);
+    assert(i == 0 || target(a.raw(i)) > target(a.raw(i - 1)));
   }
-  sim::tick(m);
-  // MSB-first rightward shifts with descending scan order; strictly
-  // monotone targets make the routing collision-free.
+#endif
+  vec<uint64_t> tag0(m);
+  vec<uint64_t> tag1(m);
+  vec<T> bufv(m);
+  slice<T> src = a;
+  slice<T> dst = bufv.s();
+  slice<uint64_t> ts = tag0.s();
+  slice<uint64_t> td = tag1.s();
+  kernel::generate_range(ts, 0, m, kernel::Tick::PerElem,
+                         [&](uint64_t& t, size_t i) {
+                           const T r = a[i];
+                           t = oselect<uint64_t>(
+                               live(r), ((target(r) - i) << 1) | 1, 0);
+                         });
+  // Strictly increasing targets over a live prefix make the offsets non-
+  // decreasing, so after the rounds for bits > b the live records sit at
+  // strictly increasing positions target - (offset mod 2^b): no round
+  // ever lands a record on one that stays.
   for (size_t step = m >> 1; step > 0; step >>= 1) {
-    const unsigned bit = util::log2_exact(step);
-    if (instr) a.touch_range(0, m);
-    sim::tick(m - step);
-    for (size_t i = m - step; i-- > 0;) {
-      const bool sw =
-          ((p[i].flags & live_flag) != 0) & (((d[i] >> bit) & 1) != 0);
-      oswap(p[i], p[i + step], sw);
-      oswap(d[i], d[i + step], sw);
-    }
+    route_detail::shift_round(src, ts, dst, td, step,
+                              util::log2_exact(step) + 1);
+    std::swap(src, dst);
+    std::swap(ts, td);
   }
+  kernel::for_each(0, m, [&](size_t i) {
+    sim::tick(1);
+    a[i] = oselect((ts[i] & 1) != 0, src[i], filler);
+  });
 }
 
 }  // namespace dopar::obl

@@ -14,6 +14,7 @@
 
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 
 #include "forkjoin/api.hpp"
 #include "sim/session.hpp"
@@ -81,7 +82,31 @@ void scan_down_rev(const slice<T>& a, const slice<T>& tree, size_t node,
                           comb); });
 }
 
+inline uint64_t reduce_sum_tree(const slice<uint64_t>& a, size_t lo,
+                                size_t hi) {
+  if (hi - lo == 1) return a[lo];
+  const size_t mid = lo + (hi - lo) / 2;
+  uint64_t left = 0;
+  uint64_t right = 0;
+  fj::invoke([&] { left = reduce_sum_tree(a, lo, mid); },
+             [&] { right = reduce_sum_tree(a, mid, hi); });
+  sim::tick(1);
+  return left + right;
+}
+
 }  // namespace detail
+
+/// Sum of a[0..n). Under a session: a balanced binary fork tree (one touch
+/// per element, O(log n) span). Natively: a plain loop — the values are
+/// already computed, and a tree walk would cost more than the adds.
+inline uint64_t reduce_sum(const slice<uint64_t>& a) {
+  if (a.empty()) return 0;
+  if (sim::current_session()) return detail::reduce_sum_tree(a, 0, a.size());
+  uint64_t sum = 0;
+  const uint64_t* p = a.data();
+  for (size_t i = 0; i < a.size(); ++i) sum += p[i];
+  return sum;
+}
 
 /// In-place inclusive prefix fold: a[i] = comb(a[0], ..., a[i]).
 template <class T, class Combine>

@@ -657,7 +657,9 @@ uint64_t equi_join_fast(const slice<Elem>& left, const slice<Elem>& right,
                          [&](Elem& e, size_t j) {
                            e = j < pf ? fa[j] : Elem::filler();
                          });
-  obl::distribute_monotone(fb, Elem::kTemp);
+  obl::distribute_monotone(
+      fb, [](const Elem& e) { return (e.flags & Elem::kTemp) != 0; },
+      [](const Elem& e) { return e.key; }, Elem::filler());
   assert((fb[0].flags & Elem::kTemp) != 0 && "rel: slot 0 has a run head");
 
   // Propagate run heads rightward: slot j inherits the nearest head at

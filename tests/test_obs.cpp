@@ -360,6 +360,44 @@ TEST(ObsService, LatencySummariesAndMetricsTextCoverServedRequests) {
   EXPECT_NE(text.find("dopar_svc_batch_occupancy"), std::string::npos);
 }
 
+TEST(ObsService, LatencyIsCountedBeforeTheFutureIsReady) {
+  // get() then stats() must always see the request just served: the
+  // latency is observed before the promise is fulfilled, never after.
+  auto rt = Runtime::builder().threads(0).seed(5).max_job_workers(4).build();
+  svc::Options o;
+  o.window = std::chrono::microseconds(50);
+  dopar::Service svc(rt, o);
+  size_t want[3] = {0, 0, 0};
+  for (size_t r = 0; r < 50; ++r) {
+    std::vector<uint64_t> keys(16), vals(16);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      keys[i] = util::hash_rand(r, i) % 8;
+      vals[i] = i;
+    }
+    Service::Kind kind;
+    switch (r % 3) {
+      case 0:
+        (void)svc.sort(r, keys).get();
+        kind = Service::Kind::Sort;
+        break;
+      case 1:
+        (void)svc.equi_join(r, keys, vals, 64).get();
+        kind = Service::Kind::Join;
+        break;
+      default:
+        (void)svc.group_by_aggregate(r, keys, vals, rel::Agg::Sum, 16).get();
+        kind = Service::Kind::GroupBy;
+        break;
+    }
+    ++want[size_t(kind)];
+    const auto st = svc.stats();
+    for (size_t k = 0; k < 3; ++k) {
+      ASSERT_EQ(st.kinds[k].latency.count, want[k])
+          << "request " << r << " kind " << k;
+    }
+  }
+}
+
 TEST(ObsService, MetricsOptOutLeavesSummariesEmpty) {
   ASSERT_FALSE(obs::metrics_on());
   auto rt = Runtime::builder().threads(0).seed(4).build();

@@ -122,5 +122,20 @@ TEST(Orp, TraceIndependentOfInputValuesForFixedSeed) {
   EXPECT_EQ(digest_of(2), digest_of(77));
 }
 
+TEST(Orp, SpanIsPolylog) {
+  auto span_of = [](size_t n) {
+    sim::Session s = sim::Session::analytic();
+    sim::ScopedSession guard(s);
+    auto in = test::random_elems(n, 5);
+    vec<Elem> inv(in), outv(n);
+    core::detail::orp(inv.s(), outv.s(), /*seed=*/3, params_for(n));
+    return double(s.cost().span);
+  };
+  // Quadrupling n must grow span far less than 4x (a serial O(n) pass
+  // anywhere in the pipeline shows up here).
+  const double r = span_of(1 << 13) / span_of(1 << 11);
+  EXPECT_LT(r, 2.0);
+}
+
 }  // namespace
 }  // namespace dopar
