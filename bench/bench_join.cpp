@@ -5,10 +5,15 @@
 // to the public bound regardless).
 //
 // Section "join" rows are deterministic analytic model counters (work,
-// span, ideal-cache misses) and are gated by the CI snapshot diff;
-// section "join_wall" rows are wall-clock microseconds on a native
-// multi-threaded Runtime (machine-dependent: report-only, listed in
-// scripts/check_bench_snapshots.py WALL_CLOCK_SECTIONS).
+// span, ideal-cache misses) and are gated by the CI snapshot diff. The
+// "*_batched" rows run kBatchSlots TPC-H-shaped requests as one batch
+// through the serving hooks (Runtime::join_batched / group_by_batched):
+// an all-equi batch (the per-slot fast path), a batch alternating equi
+// and band slots (the segmented plan), and a group-by batch; n is the
+// batch's total item rows. Section "join_wall" rows are wall-clock
+// microseconds on a native multi-threaded Runtime (machine-dependent:
+// report-only, listed in scripts/check_bench_snapshots.py
+// WALL_CLOCK_SECTIONS).
 
 #include <chrono>
 #include <cstdint>
@@ -116,6 +121,63 @@ void analytic_group(size_t nl, const std::string& backend) {
               (unsigned long long)res.groups_total);
 }
 
+constexpr size_t kBatchSlots = 16;
+
+/// kBatchSlots join slots of nl orders x 4*nl items each (slot s's item
+/// keys drawn with a per-slot offset); every odd slot is a band-2 join
+/// when `mixed`, else all slots are equi.
+void analytic_join_batched(size_t nl, bool mixed,
+                           const std::string& backend) {
+  std::vector<uint64_t> lk, rk;
+  std::vector<rel::JoinSlot> slots;
+  for (size_t s = 0; s < kBatchSlots; ++s) {
+    const auto L = make_orders(nl);
+    const auto R = make_items(4 * nl, nl);
+    const bool banded = mixed && (s & 1);
+    for (const Order& o : L) lk.push_back(o.key + s);
+    for (const Item& it : R) rk.push_back(it.key + s);
+    slots.push_back(rel::JoinSlot{L.size(), R.size(),
+                                  banded ? 6 * L.size() : R.size(), banded,
+                                  banded ? 2u : 0u});
+  }
+  auto rt = analytic_rt(backend);
+  std::vector<obl::Elem> frame;
+  const auto matched = rt.join_batched(lk, rk, slots, frame);
+  uint64_t total = 0;
+  for (uint64_t m : matched) total += m;
+  const bench::Measure m = snap(rt);
+  const char* config = mixed ? "mixed_batched" : "equi_batched";
+  bench::record("join", config, rk.size(), backend, m);
+  std::printf("%10s %8s %8zu %14llu %10llu %10llu %8llu\n", config,
+              backend.c_str(), rk.size(), (unsigned long long)m.work,
+              (unsigned long long)m.span, (unsigned long long)m.misses,
+              (unsigned long long)total);
+}
+
+void analytic_group_batched(size_t nl, const std::string& backend) {
+  std::vector<uint64_t> keys, vals;
+  std::vector<rel::GroupSlot> slots;
+  for (size_t s = 0; s < kBatchSlots; ++s) {
+    const auto R = make_items(4 * nl, nl);
+    for (const Item& it : R) {
+      keys.push_back(it.key + s);
+      vals.push_back(it.price);
+    }
+    slots.push_back(rel::GroupSlot{R.size(), nl});
+  }
+  auto rt = analytic_rt(backend);
+  std::vector<obl::Elem> frame;
+  const auto groups = rt.group_by_batched(keys, vals, slots, Agg::Sum, frame);
+  uint64_t total = 0;
+  for (uint64_t g : groups) total += g;
+  const bench::Measure m = snap(rt);
+  bench::record("join", "group_by_batched", keys.size(), backend, m);
+  std::printf("%10s %8s %8zu %14llu %10llu %10llu %8llu\n", "gb_batched",
+              backend.c_str(), keys.size(), (unsigned long long)m.work,
+              (unsigned long long)m.span, (unsigned long long)m.misses,
+              (unsigned long long)total);
+}
+
 void wall_equi(size_t nl) {
   const auto L = make_orders(nl);
   const auto R = make_items(4 * nl, nl);
@@ -153,6 +215,9 @@ int main() {
   for (size_t nl : {size_t{1024}, size_t{4096}}) {
     analytic_group(nl, "bitonic_ca");
   }
+  analytic_join_batched(64, false, "bitonic_ca");
+  analytic_join_batched(64, true, "bitonic_ca");
+  analytic_group_batched(64, "bitonic_ca");
   bench::print_header("wall-clock (native, all cores; report-only)",
                       "        op            n         best");
   wall_equi(4096);

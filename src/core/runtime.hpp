@@ -435,6 +435,11 @@ class Runtime {
   }
 
   // ---- relational operators (rel/rel.hpp) ------------------------------
+  //
+  // Each operator has one engine, and a solo call is its one-slot batch:
+  // equi_join/band_join and join_batched share run_join, and
+  // group_by_aggregate and group_by_batched share run_group_by. Every
+  // input contract throws std::invalid_argument, in every build type.
 
   /// Oblivious equi-join: every (l, r) with key_l(l) == key_r(r), grouped
   /// by left row in input order, each group's right rows ascending by
@@ -482,27 +487,20 @@ class Runtime {
         "group_by_aggregate: val_of(rec) must yield an unsigned 64-bit "
         "value");
     const size_t n = recs.size();
-    const auto sorter = resolve(opts.sort);
     const size_t bound = opts.group_bound == 0 ? n : opts.group_bound;
-    obs::Span span("rt.group_by", "n", n, "bound", bound);
-    uint64_t total = 0;
-    std::vector<obl::Elem> frame(bound);
-    with_env([&] {
-      vec<obl::Elem> inv(n), outv(bound);
-      obl::kernel::generate_range(
-          inv.s(), 0, n, obl::kernel::Tick::PerElem,
-          [&](obl::Elem& e, size_t i) {
-            e.key = static_cast<uint64_t>(key_of(recs[i]));
-            e.payload = static_cast<uint64_t>(val_of(recs[i]));
-          });
-      total = rel::detail::group_by_engine(inv.s(), agg, outv.s(), *sorter);
-      // Fixed-pattern full readout; the data-dependent strip happens
-      // outside the measured environment (client side).
-      std::copy_n(outv.s().data(), bound, frame.data());
-    });
+    std::vector<uint64_t> keys(n), values(n);
+    for (size_t i = 0; i < n; ++i) {
+      keys[i] = static_cast<uint64_t>(key_of(recs[i]));
+      values[i] = static_cast<uint64_t>(val_of(recs[i]));
+    }
+    std::vector<obl::Elem> frame;
     rel::GroupByResult res;
-    res.groups_total = total;
-    res.groups.reserve(std::min<uint64_t>(total, bound));
+    res.groups_total = run_group_by("rt.group_by", "group_by_aggregate",
+                                    keys, values, {rel::GroupSlot{n, bound}},
+                                    agg, frame, opts.sort)[0];
+    // The data-dependent strip happens outside the measured environment
+    // (client side).
+    res.groups.reserve(std::min<uint64_t>(res.groups_total, bound));
     for (const obl::Elem& e : frame) {
       if (e.flags & obl::Elem::kFiller) continue;
       res.groups.push_back(rel::GroupRow{e.key, e.payload, e.aux});
@@ -513,83 +511,21 @@ class Runtime {
   // ---- coalesced relational hooks (serving layer) ---------------------
 
   /// Run a batch of independent joins as ONE shared plan (the serving
-  /// layer's coalesced path). `slots` is the public shape of the batch;
+  /// layer's join path). `slots` is the public shape of the batch;
   /// `left_keys`/`right_keys` are the slot-concatenated key tables. On
   /// return `frame` holds sum(bound) output Elems, slot-major: slot s's
   /// share carries (payload = left row id, aux = right row id) per pair,
   /// local output position in .key, padding flagged kFiller — equal to
   /// the slot's solo equi_join/band_join frame. Returns per-slot true
-  /// match counts. Keys must be <= rel::kMaxBatchKey (2^48 - 1).
+  /// match counts. Keys must be <= rel::max_key(slots.size()): below
+  /// rel::kKeyLimit for one slot, <= rel::kMaxBatchKey (2^48 - 1) for more.
   std::vector<uint64_t> join_batched(const std::vector<uint64_t>& left_keys,
                                      const std::vector<uint64_t>& right_keys,
                                      const std::vector<rel::JoinSlot>& slots,
                                      std::vector<obl::Elem>& frame,
                                      const SortOptions& opts = {}) {
-    constexpr uint64_t kMaxRows = uint64_t{1} << 32;  // send-receive cap
-    const size_t S = slots.size();
-    if (S == 0 || S > rel::kMaxRelBatchSlots) {
-      throw std::invalid_argument("join_batched: bad slot count");
-    }
-    size_t nl_total = 0, nr_total = 0, bound_total = 0;
-    for (const rel::JoinSlot& sl : slots) {
-      if (sl.nl >= kMaxRows || sl.nr >= kMaxRows || sl.bound >= kMaxRows) {
-        throw std::invalid_argument(
-            "join_batched: per-slot sizes and bound must be < 2^32");
-      }
-      nl_total += sl.nl;
-      nr_total += sl.nr;
-      bound_total += sl.bound;
-    }
-    if (left_keys.size() != nl_total || right_keys.size() != nr_total) {
-      throw std::invalid_argument(
-          "join_batched: key tables must match the slot shapes");
-    }
-    for (uint64_t k : left_keys) {
-      if (k > rel::kMaxBatchKey) {
-        throw std::invalid_argument(
-            "join_batched: keys must be <= rel::kMaxBatchKey");
-      }
-    }
-    for (uint64_t k : right_keys) {
-      if (k > rel::kMaxBatchKey) {
-        throw std::invalid_argument(
-            "join_batched: keys must be <= rel::kMaxBatchKey");
-      }
-    }
-    const auto sorter = resolve(opts);
-    obs::Span span("rt.join_batched", "slots", S, "bound", bound_total);
-    // Slot-local row ids, precomputed host-side (public shapes).
-    std::vector<uint32_t> lloc(nl_total), rloc(nr_total);
-    {
-      size_t li = 0, ri = 0;
-      for (const rel::JoinSlot& sl : slots) {
-        for (size_t i = 0; i < sl.nl; ++i) lloc[li++] = uint32_t(i);
-        for (size_t i = 0; i < sl.nr; ++i) rloc[ri++] = uint32_t(i);
-      }
-    }
-    frame.assign(bound_total, obl::Elem::filler());
-    std::vector<uint64_t> matched;
-    with_env([&] {
-      vec<obl::Elem> lv(nl_total), rv(nr_total);
-      vec<obl::Elem> outv(bound_total == 0 ? 1 : bound_total);
-      const slice<obl::Elem> out = outv.s().sub(0, bound_total);
-      obl::kernel::generate_range(lv.s(), 0, nl_total,
-                                  obl::kernel::Tick::PerElem,
-                                  [&](obl::Elem& e, size_t i) {
-                                    e.key = left_keys[i];
-                                    e.payload = lloc[i];
-                                  });
-      obl::kernel::generate_range(rv.s(), 0, nr_total,
-                                  obl::kernel::Tick::PerElem,
-                                  [&](obl::Elem& e, size_t i) {
-                                    e.key = right_keys[i];
-                                    e.payload = rloc[i];
-                                  });
-      matched = rel::detail::join_engine_batched(lv.s(), rv.s(), slots, out,
-                                                 *sorter);
-      std::copy_n(out.data(), bound_total, frame.data());
-    });
-    return matched;
+    return run_join("rt.join_batched", "join_batched", left_keys,
+                    right_keys, slots, frame, opts);
   }
 
   /// Batched counterpart of group_by_aggregate: one shared plan over the
@@ -597,55 +533,15 @@ class Runtime {
   /// batch. On return `frame` holds sum(bound) Elems, slot-major, each
   /// slot's share its groups ascending by key (key = group key, payload =
   /// aggregate, aux = group size, padding kFiller) — equal to the solo
-  /// result. Returns per-slot distinct-group counts.
+  /// result. Returns per-slot distinct-group counts. Same key ceiling as
+  /// join_batched.
   std::vector<uint64_t> group_by_batched(
       const std::vector<uint64_t>& keys,
       const std::vector<uint64_t>& values,
       const std::vector<rel::GroupSlot>& slots, rel::Agg agg,
       std::vector<obl::Elem>& frame, const SortOptions& opts = {}) {
-    constexpr uint64_t kMaxRows = uint64_t{1} << 32;
-    const size_t S = slots.size();
-    if (S == 0 || S > rel::kMaxRelBatchSlots) {
-      throw std::invalid_argument("group_by_batched: bad slot count");
-    }
-    size_t n_total = 0, bound_total = 0;
-    for (const rel::GroupSlot& sl : slots) {
-      if (sl.n >= kMaxRows || sl.bound >= kMaxRows) {
-        throw std::invalid_argument(
-            "group_by_batched: per-slot sizes and bound must be < 2^32");
-      }
-      n_total += sl.n;
-      bound_total += sl.bound;
-    }
-    if (keys.size() != n_total || values.size() != n_total) {
-      throw std::invalid_argument(
-          "group_by_batched: rows must match the slot shapes");
-    }
-    for (uint64_t k : keys) {
-      if (k > rel::kMaxBatchKey) {
-        throw std::invalid_argument(
-            "group_by_batched: keys must be <= rel::kMaxBatchKey");
-      }
-    }
-    const auto sorter = resolve(opts);
-    obs::Span span("rt.group_by_batched", "slots", S, "bound", bound_total);
-    frame.assign(bound_total, obl::Elem::filler());
-    std::vector<uint64_t> groups;
-    with_env([&] {
-      vec<obl::Elem> inv(n_total);
-      vec<obl::Elem> outv(bound_total == 0 ? 1 : bound_total);
-      const slice<obl::Elem> out = outv.s().sub(0, bound_total);
-      obl::kernel::generate_range(inv.s(), 0, n_total,
-                                  obl::kernel::Tick::PerElem,
-                                  [&](obl::Elem& e, size_t i) {
-                                    e.key = keys[i];
-                                    e.payload = values[i];
-                                  });
-      groups = rel::detail::group_by_engine_batched(inv.s(), agg, slots,
-                                                    out, *sorter);
-      std::copy_n(out.data(), bound_total, frame.data());
-    });
-    return groups;
+    return run_group_by("rt.group_by_batched", "group_by_batched", keys,
+                        values, slots, agg, frame, opts);
   }
 
   // ---- Section 5 applications -----------------------------------------
@@ -882,8 +778,8 @@ class Runtime {
  private:
   friend class Builder;
 
-  /// Shared equi/band join wrapper: Elem tables in, engine inside one
-  /// with_env, fixed-pattern readout, client-side strip.
+  /// Solo equi/band join: a one-slot run_join over the extracted keys,
+  /// then the client-side strip through the row-id indirection.
   template <class RecL, class RecR, class KeyL, class KeyR>
   rel::JoinResult<RecL, RecR> join_impl(std::span<const RecL> left,
                                         KeyL& key_l,
@@ -899,50 +795,162 @@ class Runtime {
         std::is_convertible_v<std::invoke_result_t<KeyR&, const RecR&>,
                               uint64_t>,
         "join: key_r(rec) must yield an unsigned 64-bit join key");
-    constexpr uint64_t kMaxRows = uint64_t{1} << 32;  // send-receive cap
     const size_t nl = left.size();
     const size_t nr = right.size();
-    if (nl >= kMaxRows || nr >= kMaxRows) {
-      throw std::invalid_argument("join: table sizes must be < 2^32");
+    std::vector<uint64_t> lk(nl), rk(nr);
+    for (size_t i = 0; i < nl; ++i) {
+      lk[i] = static_cast<uint64_t>(key_l(left[i]));
     }
-    const auto sorter = resolve(opts.sort);
+    for (size_t i = 0; i < nr; ++i) {
+      rk[i] = static_cast<uint64_t>(key_r(right[i]));
+    }
     const size_t bound =
         opts.output_bound == 0 ? nl * nr : opts.output_bound;
-    if (bound >= kMaxRows) {
-      throw std::invalid_argument(
-          "join: output bound must be < 2^32 (pass JoinOptions::"
-          "output_bound below the default |L|*|R|)");
-    }
-    uint64_t matched = 0;
-    obs::Span span(banded ? "rt.band_join" : "rt.equi_join", "rows",
-                   nl + nr, "bound", bound);
-    std::vector<obl::Elem> frame(bound);
-    with_env([&] {
-      vec<obl::Elem> lv(nl), rv(nr), outv(bound);
-      obl::kernel::generate_range(
-          lv.s(), 0, nl, obl::kernel::Tick::PerElem,
-          [&](obl::Elem& e, size_t i) {
-            e.key = static_cast<uint64_t>(key_l(left[i]));
-            e.payload = i;
-          });
-      obl::kernel::generate_range(
-          rv.s(), 0, nr, obl::kernel::Tick::PerElem,
-          [&](obl::Elem& e, size_t i) {
-            e.key = static_cast<uint64_t>(key_r(right[i]));
-            e.payload = i;
-          });
-      matched = rel::detail::join_engine(lv.s(), rv.s(), banded, band,
-                                         outv.s(), *sorter);
-      std::copy_n(outv.s().data(), bound, frame.data());
-    });
+    std::vector<obl::Elem> frame;
     rel::JoinResult<RecL, RecR> res;
-    res.matched = matched;
-    res.rows.reserve(std::min<uint64_t>(matched, bound));
+    res.matched = run_join(banded ? "rt.band_join" : "rt.equi_join", "join",
+                           lk, rk, {rel::JoinSlot{nl, nr, bound, banded, band}},
+                           frame, opts.sort)[0];
+    res.rows.reserve(std::min<uint64_t>(res.matched, bound));
     for (const obl::Elem& e : frame) {
       if (e.flags & obl::Elem::kFiller) continue;
       res.rows.emplace_back(left[e.payload], right[e.aux]);
     }
     return res;
+  }
+
+  /// Throws unless every key fits the engine's key ceiling for a call
+  /// with `slots` slots (rel::max_key).
+  static void check_rel_keys(const char* what,
+                             const std::vector<uint64_t>& keys,
+                             size_t slots) {
+    const uint64_t max = rel::max_key(slots);
+    for (uint64_t k : keys) {
+      if (k > max) {
+        throw std::invalid_argument(
+            std::string(what) +
+            (slots == 1 ? ": keys must be < rel::kKeyLimit (2^62)"
+                        : ": keys in a batch of two or more slots must be "
+                          "<= rel::kMaxBatchKey (2^48 - 1)"));
+      }
+    }
+  }
+
+  /// The one join path: validates the batch shape and key contract, runs
+  /// rel::detail::join_engine over the slot-concatenated key tables
+  /// inside one with_env, and copies the fixed-size output frame out.
+  /// Row ids in the frame are slot-local. `span_name` must be a literal.
+  std::vector<uint64_t> run_join(const char* span_name, const char* what,
+                                 const std::vector<uint64_t>& left_keys,
+                                 const std::vector<uint64_t>& right_keys,
+                                 const std::vector<rel::JoinSlot>& slots,
+                                 std::vector<obl::Elem>& frame,
+                                 const SortOptions& opts) {
+    constexpr uint64_t kMaxRows = uint64_t{1} << 32;  // send-receive cap
+    const size_t S = slots.size();
+    if (S == 0 || S > rel::kMaxRelBatchSlots) {
+      throw std::invalid_argument(std::string(what) + ": bad slot count");
+    }
+    size_t nl_total = 0, nr_total = 0, bound_total = 0;
+    for (const rel::JoinSlot& sl : slots) {
+      if (sl.nl >= kMaxRows || sl.nr >= kMaxRows || sl.bound >= kMaxRows) {
+        throw std::invalid_argument(
+            std::string(what) +
+            ": table sizes and output bound must be < 2^32 (the default "
+            "output bound is |L|*|R|)");
+      }
+      nl_total += sl.nl;
+      nr_total += sl.nr;
+      bound_total += sl.bound;
+    }
+    if (left_keys.size() != nl_total || right_keys.size() != nr_total) {
+      throw std::invalid_argument(
+          std::string(what) + ": key tables must match the slot shapes");
+    }
+    check_rel_keys(what, left_keys, S);
+    check_rel_keys(what, right_keys, S);
+    const auto sorter = resolve(opts);
+    obs::Span span(span_name, "rows", nl_total + nr_total, "bound",
+                   bound_total);
+    // Slot-local row ids, precomputed host-side (public shapes).
+    std::vector<uint32_t> lloc(nl_total), rloc(nr_total);
+    {
+      size_t li = 0, ri = 0;
+      for (const rel::JoinSlot& sl : slots) {
+        for (size_t i = 0; i < sl.nl; ++i) lloc[li++] = uint32_t(i);
+        for (size_t i = 0; i < sl.nr; ++i) rloc[ri++] = uint32_t(i);
+      }
+    }
+    frame.assign(bound_total, obl::Elem::filler());
+    std::vector<uint64_t> matched;
+    with_env([&] {
+      vec<obl::Elem> lv(nl_total), rv(nr_total), outv(bound_total);
+      obl::kernel::generate_range(lv.s(), 0, nl_total,
+                                  obl::kernel::Tick::PerElem,
+                                  [&](obl::Elem& e, size_t i) {
+                                    e.key = left_keys[i];
+                                    e.payload = lloc[i];
+                                  });
+      obl::kernel::generate_range(rv.s(), 0, nr_total,
+                                  obl::kernel::Tick::PerElem,
+                                  [&](obl::Elem& e, size_t i) {
+                                    e.key = right_keys[i];
+                                    e.payload = rloc[i];
+                                  });
+      matched = rel::detail::join_engine(lv.s(), rv.s(), slots, outv.s(),
+                                         *sorter);
+      // Fixed-pattern full readout.
+      std::copy_n(outv.s().data(), bound_total, frame.data());
+    });
+    return matched;
+  }
+
+  /// The one group-by path, run_join's counterpart for
+  /// rel::detail::group_by_engine.
+  std::vector<uint64_t> run_group_by(const char* span_name,
+                                     const char* what,
+                                     const std::vector<uint64_t>& keys,
+                                     const std::vector<uint64_t>& values,
+                                     const std::vector<rel::GroupSlot>& slots,
+                                     rel::Agg agg,
+                                     std::vector<obl::Elem>& frame,
+                                     const SortOptions& opts) {
+    constexpr uint64_t kMaxRows = uint64_t{1} << 32;
+    const size_t S = slots.size();
+    if (S == 0 || S > rel::kMaxRelBatchSlots) {
+      throw std::invalid_argument(std::string(what) + ": bad slot count");
+    }
+    size_t n_total = 0, bound_total = 0;
+    for (const rel::GroupSlot& sl : slots) {
+      if (sl.n >= kMaxRows || sl.bound >= kMaxRows) {
+        throw std::invalid_argument(
+            std::string(what) + ": row count and group bound must be < 2^32");
+      }
+      n_total += sl.n;
+      bound_total += sl.bound;
+    }
+    if (keys.size() != n_total || values.size() != n_total) {
+      throw std::invalid_argument(std::string(what) +
+                                  ": rows must match the slot shapes");
+    }
+    check_rel_keys(what, keys, S);
+    const auto sorter = resolve(opts);
+    obs::Span span(span_name, "rows", n_total, "bound", bound_total);
+    frame.assign(bound_total, obl::Elem::filler());
+    std::vector<uint64_t> groups;
+    with_env([&] {
+      vec<obl::Elem> inv(n_total), outv(bound_total);
+      obl::kernel::generate_range(inv.s(), 0, n_total,
+                                  obl::kernel::Tick::PerElem,
+                                  [&](obl::Elem& e, size_t i) {
+                                    e.key = keys[i];
+                                    e.payload = values[i];
+                                  });
+      groups = rel::detail::group_by_engine(inv.s(), agg, slots, outv.s(),
+                                            *sorter);
+      std::copy_n(outv.s().data(), bound_total, frame.data());
+    });
+    return groups;
   }
 
   explicit Runtime(const Builder& b)

@@ -20,8 +20,12 @@
 //                           {.output_bound = 4096});
 //   for (auto& [o, it] : res.rows) ...
 //
+// Every operator has ONE engine, which runs a batch of independent
+// requests ("slots") as one shared plan; a solo Runtime call is the
+// one-slot batch, so solo and coalesced runs agree by construction.
+//
 // Join recipe (the equi-join is the band = 0 specialization of the same
-// four-phase plan):
+// plan; equi and band slots share one batch):
 //   1. MULTIPLICITY: sort the union of both tables by (key, side); one
 //      segmented suffix aggregation (equi) or two rank queries per left
 //      row (band) yield, for every left row, the count of matching right
@@ -34,6 +38,10 @@
 //      it must pair with.
 //   3. ALIGN-CONCAT: one oblivious send-receive routes the rank-keyed
 //      right rows to the slots that request them.
+//
+// Group-by recipe: sort by key, fold group sizes and values with
+// segmented suffix aggregations, flag group heads and compact them to the
+// front; the first `bound` records are the groups in ascending key order.
 //
 // Obliviousness contract: for fixed table sizes and a fixed public output
 // bound, the sequence of scratch-array sizes, sorts, scans and routing
@@ -48,9 +56,10 @@
 // paper proves safe for ORP's final compaction; everything computed inside
 // the measured pipeline is padded to the public bound.
 //
-// Size contract: keys < 2^62; per-table row count and the output bound
-// < 2^32 (the send-receive receiver bound); |L|·|R| < 2^62 (output
-// offsets are packed into sort keys with one tag bit to spare).
+// Size contract: keys <= max_key(S) for an S-slot call — below 2^62 with
+// one slot (every solo Runtime call), <= 2^48 - 1 with two or more;
+// per-table row count and the output bound < 2^32 (the send-receive
+// receiver bound).
 
 #include <cstdint>
 #include <utility>
@@ -69,31 +78,37 @@ inline constexpr uint64_t kKeyLimit = uint64_t{1} << 62;
 /// Sentinel "no row" id carried by padding slots inside the engines.
 inline constexpr uint64_t kNoRow = ~uint64_t{0};
 
-// ---- coalesced (batched) operator plans --------------------------------
+// ---- batches of slots ---------------------------------------------------
 //
-// The serving layer merges many small compatible join / group-by requests
-// into ONE shared plan: each request becomes a *slot*, its keys are tagged
-// with the slot id in the top bits of the union-sort composite key
-// ((slot << kBatchKeyBits) | key), and every pass of the solo plan runs
-// once over the concatenated tables. Because slots occupy disjoint
-// composite-key ranges, the per-slot order inside every shared sort equals
-// the solo order, so each slot's output is bit-identical to a solo run of
-// the same request. The shared distribute-expand frame's public bound is
-// the SUM of the per-slot output bounds, split back per slot at public
-// offsets. The schedule is a pure function of the slot shape vector.
+// Each request in a batch is a *slot*; its keys are tagged with the slot
+// id in the top bits of every shared sort key ((slot << kBatchKeyBits) |
+// key), and every pass runs once over the concatenated tables. Because
+// slots occupy disjoint composite-key ranges, the per-slot order inside
+// every shared sort equals the one-slot order, so each slot's output is
+// bit-identical to a one-slot run of the same request. The shared
+// output frame's public bound is the SUM of the per-slot bounds, split
+// back per slot at public offsets. The schedule is a pure function of the
+// slot shape vector. With one slot the tag is zero, so keys may use the
+// full kKeyLimit range.
 
 /// Bits of a batched composite key carrying the row's own key; the slot id
 /// rides above them. Mirrors the serving layer's sort-coalescing layout.
 inline constexpr unsigned kBatchKeyBits = 48;
-/// Largest row key that may ride in a coalesced relational batch
+/// Largest row key that may ride in a batch of two or more slots
 /// (inclusive): composite keys must stay below kKeyLimit.
 inline constexpr uint64_t kMaxBatchKey =
     (uint64_t{1} << kBatchKeyBits) - 1;
-/// Slots per coalesced relational batch: 2^62 composite-key space over
-/// 48-bit row keys leaves 14 slot bits.
+/// Slots per relational batch: 2^62 composite-key space over 48-bit row
+/// keys leaves 14 slot bits.
 inline constexpr size_t kMaxRelBatchSlots = size_t{1} << 14;
 
-/// Public shape of one slot (one request) in a coalesced join batch.
+/// Largest row key (inclusive) an engine call with `slots` slots accepts:
+/// a one-slot call carries no slot tag and takes any key below kKeyLimit.
+constexpr uint64_t max_key(size_t slots) {
+  return slots == 1 ? kKeyLimit - 1 : kMaxBatchKey;
+}
+
+/// Public shape of one slot (one request) in a join batch.
 struct JoinSlot {
   size_t nl = 0;       ///< left-table rows
   size_t nr = 0;       ///< right-table rows
@@ -102,7 +117,7 @@ struct JoinSlot {
   uint64_t band = 0;   ///< band half-width (ignored unless banded)
 };
 
-/// Public shape of one slot in a coalesced group-by batch.
+/// Public shape of one slot in a group-by batch.
 struct GroupSlot {
   size_t n = 0;      ///< input rows
   size_t bound = 0;  ///< public group bound (this slot's frame share)
@@ -161,53 +176,39 @@ struct GroupByResult {
 namespace detail {
 
 // The engines operate on canonical Elem tables prepared by the Runtime
-// wrappers: left/right rows carry the join key in .key and the caller's
-// row index in .payload. They run entirely inside the Runtime's execution
-// environment (tracked buffers, fork-join pool, measurement session).
+// wrappers: the slot-concatenated tables (slot s's rows at the public
+// offsets implied by `slots`), row key in .key and the caller's
+// slot-local row id in .payload. They run entirely inside the Runtime's
+// execution environment (tracked buffers, fork-join pool, measurement
+// session). Contract: 1 <= slots.size() <= kMaxRelBatchSlots and every
+// key <= max_key(slots.size()).
 
-/// Join engine shared by equi (banded = false) and band join. Writes the
-/// aligned pairs into `out` (size = output bound): out[j].payload = left
-/// row id, out[j].aux = right row id, padding slots flagged kFiller.
-/// Returns the true total match count.
-uint64_t join_engine(const slice<obl::Elem>& left,
-                     const slice<obl::Elem>& right, bool banded,
-                     uint64_t band, const slice<obl::Elem>& out,
-                     const SorterBackend& sorter);
+/// Join engine, shared by equi and band slots. `out` has size
+/// sum(slots[s].bound); slot s's share receives its aligned pairs in
+/// output order: .payload = left row id, .aux = right row id, .key = the
+/// slot-local output position, padding flagged kFiller. Returns the
+/// per-slot true match counts. Per-slot bound < 2^33.
+///
+/// A batch of two or more slots that are all equi takes a per-slot fast
+/// path (recorded comparator networks and monotone routing in place of
+/// the frame-scale sorts) with the same output. Every other call,
+/// including every one-slot call, runs the segmented plan on `sorter`.
+std::vector<uint64_t> join_engine(const slice<obl::Elem>& left,
+                                  const slice<obl::Elem>& right,
+                                  const std::vector<JoinSlot>& slots,
+                                  const slice<obl::Elem>& out,
+                                  const SorterBackend& sorter);
 
-/// Group-by engine: `in` rows carry key in .key and the value in .payload.
-/// Writes one Elem per group into `out` (size = group bound): key = group
-/// key, payload = aggregate, aux = group size; padding flagged kFiller.
-/// Returns the true number of distinct groups.
-uint64_t group_by_engine(const slice<obl::Elem>& in, Agg agg,
-                         const slice<obl::Elem>& out,
-                         const SorterBackend& sorter);
-
-/// Coalesced join engine: `left`/`right` are the slot-concatenated tables
-/// (slot s's rows at the public offsets implied by `slots`, raw per-slot
-/// key in .key, caller row id in .payload) and `out` has size
-/// sum(slots[s].bound). Writes each slot's solo join_engine output —
-/// bit-identical at the (payload = left id, aux = right id, kFiller) level
-/// — into its share of the frame, local output position in .key. Returns
-/// the per-slot true match counts. Contract: keys <= kMaxBatchKey, slot
-/// count <= kMaxRelBatchSlots, per-slot bound < 2^33.
-std::vector<uint64_t> join_engine_batched(const slice<obl::Elem>& left,
-                                          const slice<obl::Elem>& right,
-                                          const std::vector<JoinSlot>& slots,
-                                          const slice<obl::Elem>& out,
-                                          const SorterBackend& sorter);
-
-/// Coalesced group-by engine: `in` is the slot-concatenated input (key in
-/// .key, value in .payload), `out` has size sum(slots[s].bound); slot s's
-/// share holds its groups ascending by key (key = group key, payload =
-/// aggregate, aux = group size, padding kFiller), equal to its solo
-/// group_by_engine output. Returns the per-slot distinct-group counts.
-/// Contract: keys <= kMaxBatchKey, slot count <= kMaxRelBatchSlots,
-/// per-slot rows < 2^32 and bound < 2^33. One batch runs ONE aggregation
-/// operator — the serving layer only coalesces same-agg requests.
-std::vector<uint64_t> group_by_engine_batched(
-    const slice<obl::Elem>& in, Agg agg,
-    const std::vector<GroupSlot>& slots, const slice<obl::Elem>& out,
-    const SorterBackend& sorter);
+/// Group-by engine: `in` rows carry the key in .key and the value in
+/// .payload. `out` has size sum(slots[s].bound); slot s's share holds its
+/// groups ascending by key (key = group key, payload = aggregate, aux =
+/// group size, padding kFiller). Returns the per-slot distinct-group
+/// counts. Per-slot rows < 2^32. One batch runs ONE aggregation operator
+/// — the serving layer only coalesces same-agg requests.
+std::vector<uint64_t> group_by_engine(const slice<obl::Elem>& in, Agg agg,
+                                      const std::vector<GroupSlot>& slots,
+                                      const slice<obl::Elem>& out,
+                                      const SorterBackend& sorter);
 
 }  // namespace detail
 

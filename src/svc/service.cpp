@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <span>
 
 namespace dopar::svc {
 
@@ -628,10 +627,10 @@ void Service::run_batch(Batch& b) {
         b.coalesced ? run_coalesced(b) : run_solo(b);
         break;
       case Kind::Join:
-        b.coalesced ? run_coalesced_join(b) : run_solo_join(b);
+        run_join(b);
         break;
       case Kind::GroupBy:
-        b.coalesced ? run_coalesced_group(b) : run_solo_group(b);
+        run_group(b);
         break;
     }
   } catch (...) {
@@ -711,12 +710,13 @@ void Service::run_solo(Batch& b) {
   complete(b, r, std::move(out), std::move(order));
 }
 
-void Service::run_coalesced_join(Batch& b) {
-  // One shared batched join plan serves every request: slot-concatenated
-  // key tables through Runtime::join_batched, the summed-bound output
-  // frame split back per slot at public offsets. Each slot's rows are the
-  // solo result by the batched-engine contract, so the JoinResult handed
-  // to each promise is byte-identical to a lone Runtime::equi_join run.
+void Service::run_join(Batch& b) {
+  // One join plan serves the whole batch: slot-concatenated key tables
+  // through Runtime::join_batched, the summed-bound output frame split
+  // back per slot at public offsets. A lone request is the one-slot batch
+  // — exactly the plan a direct Runtime::equi_join/band_join runs, on the
+  // Runtime's own backend — so every JoinResult is byte-identical to a
+  // lone Runtime call either way.
   std::vector<rel::JoinSlot> slots;
   slots.reserve(b.reqs.size());
   size_t nl = 0, nr = 0;
@@ -734,10 +734,8 @@ void Service::run_coalesced_join(Batch& b) {
     rkeys.insert(rkeys.end(), r.keys2.begin(), r.keys2.end());
   }
   std::vector<obl::Elem> frame;
-  SortOptions o;
-  o.backend = opts_.batch_backend;
   const std::vector<uint64_t> matched =
-      rt_.join_batched(lkeys, rkeys, slots, frame, o);
+      rt_.join_batched(lkeys, rkeys, slots, frame, batch_options(b));
   size_t off = 0;
   for (size_t s = 0; s < b.reqs.size(); ++s) {
     PendingReq& r = b.reqs[s];
@@ -756,28 +754,10 @@ void Service::run_coalesced_join(Batch& b) {
   }
 }
 
-void Service::run_solo_join(Batch& b) {
-  // Uncoalescible (or lone) join: the canonical solo pipeline, exactly
-  // what a direct Runtime::equi_join/band_join caller would run.
-  PendingReq& r = b.reqs.front();
-  rel::JoinOptions jo;
-  jo.output_bound = r.bound;
-  const auto ident = [](uint64_t k) { return k; };
-  rel::JoinResult<uint64_t, uint64_t> res =
-      r.banded ? rt_.band_join(std::span<const uint64_t>(r.keys), ident,
-                               std::span<const uint64_t>(r.keys2), ident,
-                               r.band, jo)
-               : rt_.equi_join(std::span<const uint64_t>(r.keys), ident,
-                               std::span<const uint64_t>(r.keys2), ident,
-                               jo);
-  observe_latency(r);
-  r.finish_join(std::move(res), nullptr);
-  ++b.done;
-}
-
-void Service::run_coalesced_group(Batch& b) {
-  // One shared batched grouping plan (same aggregation operator across
-  // the batch, enforced by carve_locked's compatibility rule).
+void Service::run_group(Batch& b) {
+  // One grouping plan per batch (same aggregation operator across the
+  // batch, enforced by carve_locked's compatibility rule); a lone request
+  // is the one-slot batch, as in run_join.
   std::vector<rel::GroupSlot> slots;
   slots.reserve(b.reqs.size());
   size_t n = 0;
@@ -791,10 +771,8 @@ void Service::run_coalesced_group(Batch& b) {
     vals.insert(vals.end(), r.keys2.begin(), r.keys2.end());
   }
   std::vector<obl::Elem> frame;
-  SortOptions o;
-  o.backend = opts_.batch_backend;
-  const std::vector<uint64_t> groups =
-      rt_.group_by_batched(keys, vals, slots, b.reqs.front().agg, frame, o);
+  const std::vector<uint64_t> groups = rt_.group_by_batched(
+      keys, vals, slots, b.reqs.front().agg, frame, batch_options(b));
   size_t off = 0;
   for (size_t s = 0; s < b.reqs.size(); ++s) {
     PendingReq& r = b.reqs[s];
@@ -813,20 +791,10 @@ void Service::run_coalesced_group(Batch& b) {
   }
 }
 
-void Service::run_solo_group(Batch& b) {
-  PendingReq& r = b.reqs.front();
-  rel::GroupByOptions go;
-  go.group_bound = r.bound;
-  // Index-span view over the two columns: the canonical Runtime call.
-  std::vector<uint32_t> idx(r.keys.size());
-  for (size_t i = 0; i < idx.size(); ++i) idx[i] = uint32_t(i);
-  rel::GroupByResult res = rt_.group_by_aggregate(
-      std::span<const uint32_t>(idx),
-      [&](uint32_t i) { return r.keys[i]; },
-      [&](uint32_t i) { return r.keys2[i]; }, r.agg, go);
-  observe_latency(r);
-  r.finish_group(std::move(res), nullptr);
-  ++b.done;
+SortOptions Service::batch_options(const Batch& b) const {
+  SortOptions o;
+  if (b.coalesced) o.backend = opts_.batch_backend;
+  return o;
 }
 
 void Service::complete(Batch& b, PendingReq& r, std::vector<uint64_t> keys,

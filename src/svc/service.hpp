@@ -15,25 +15,27 @@
 //       * sort      — one oblivious sort over slot-tagged composite keys
 //                     (svc/coalesce.hpp) on the Runtime's comparator-
 //                     network sorter layer (Runtime::backend_sort);
-//       * join      — equi_join()/band_join() requests share one batched
-//                     join plan (rel::detail::join_engine_batched):
-//                     slot-tagged composite keys ride the multiplicity
-//                     union sort, and ONE distribute-expand frame — its
-//                     public bound the SUM of the per-request output
-//                     bounds — is split back per slot. Equi and band
-//                     requests coalesce freely (bandedness is per-slot
-//                     public shape).
+//       * join      — equi_join()/band_join() requests share one run of
+//                     the join engine (rel::detail::join_engine, via
+//                     Runtime::join_batched), one slot per request:
+//                     slot-tagged composite keys ride its shared sorts,
+//                     and ONE output frame — its public bound the SUM of
+//                     the per-request output bounds — is split back per
+//                     slot. Equi and band requests coalesce freely
+//                     (bandedness is per-slot public shape).
 //       * group-by  — group_by_aggregate() requests with the SAME
-//                     aggregation operator share one batched grouping
-//                     plan the same way (the operator is part of the
+//                     aggregation operator share one run of the group-by
+//                     engine the same way (the operator is part of the
 //                     plan, so mixed-agg requests never coalesce).
 //
 //     Each kind keeps its own coalescible-row accounting against
 //     Options::max_batch_elems — a request's footprint is its total rows
 //     plus, for join/group-by, its output bound. Requests that cannot
-//     ride a batch (keys > 2^48-1, oversize footprint) run solo on the
-//     canonical pipeline. Either way a request's output is BIT-IDENTICAL
-//     to what it would get served alone: for sorts the tie order is
+//     ride a batch (keys > 2^48-1, oversize footprint) run solo: a sort
+//     on the canonical pipeline, a join or group-by as a one-slot batch
+//     on the Runtime's backend — the very plan a direct Runtime call
+//     runs. Either way a request's output is BIT-IDENTICAL to what it
+//     would get served alone: for sorts the tie order is
 //     normalized from a per-request content-derived seed stream
 //     (normalize_ties); join/group-by results have no free tie order at
 //     all — the output contract fixes a total row order, so they are a
@@ -355,10 +357,11 @@ class Service {
   void run_batch(Batch& b);
   void run_coalesced(Batch& b);
   void run_solo(Batch& b);
-  void run_coalesced_join(Batch& b);
-  void run_solo_join(Batch& b);
-  void run_coalesced_group(Batch& b);
-  void run_solo_group(Batch& b);
+  void run_join(Batch& b);
+  void run_group(Batch& b);
+  /// Sort options of a batch's relational plan: batch_backend when
+  /// coalesced, the Runtime's backend for a lone request.
+  SortOptions batch_options(const Batch& b) const;
   void complete(Batch& b, PendingReq& r, std::vector<uint64_t> keys,
                 std::vector<uint32_t> order);
   void governor_observe_locked();

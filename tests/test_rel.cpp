@@ -12,7 +12,7 @@
 
 #include <algorithm>
 #include <map>
-#include <numeric>
+#include <ostream>
 #include <span>
 #include <string>
 #include <utility>
@@ -34,7 +34,9 @@ struct RRow {
   uint64_t id = 0;
 };
 
-using Pairs = std::vector<std::pair<uint64_t, uint64_t>>;
+using Pairs = test::IdPairs;
+using test::oracle_group;
+using test::oracle_join;
 
 std::vector<LRow> make_left(size_t n, uint64_t domain, uint64_t seed) {
   util::Rng rng(seed);
@@ -52,29 +54,6 @@ std::vector<RRow> make_right(size_t n, uint64_t domain, uint64_t seed) {
     v[i] = RRow{domain ? rng.below(domain) : 0, 2'000'000 + i};
   }
   return v;
-}
-
-/// The insecure nested-loop oracle, emitting pairs in the engines' output
-/// order contract: grouped by left row in input order, each group's right
-/// rows ascending by (key, input index).
-Pairs oracle_join(const std::vector<LRow>& L, const std::vector<RRow>& R,
-                  bool banded, uint64_t band) {
-  std::vector<size_t> order(R.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return R[a].key < R[b].key;
-  });
-  Pairs out;
-  for (const LRow& l : L) {
-    for (size_t ri : order) {
-      const RRow& r = R[ri];
-      const uint64_t diff = l.key > r.key ? l.key - r.key : r.key - l.key;
-      if (banded ? diff <= band : l.key == r.key) {
-        out.emplace_back(l.id, r.id);
-      }
-    }
-  }
-  return out;
 }
 
 Pairs ids_of(const rel::JoinResult<LRow, RRow>& res) {
@@ -101,33 +80,6 @@ rel::JoinResult<LRow, RRow> run_band(Runtime& rt, const std::vector<LRow>& L,
   return rt.band_join(std::span<const LRow>(L), kLKey,
                       std::span<const RRow>(R), kRKey, band,
                       rel::JoinOptions{.output_bound = bound, .sort = {}});
-}
-
-/// Hash-aggregation oracle for group-by (std::map: ascending key order,
-/// matching the engine's output contract).
-std::map<uint64_t, rel::GroupRow> oracle_group(const std::vector<RRow>& rows,
-                                               rel::Agg agg) {
-  std::map<uint64_t, rel::GroupRow> m;
-  for (const RRow& r : rows) {
-    const uint64_t v = r.id;
-    auto [it, fresh] = m.try_emplace(r.key, rel::GroupRow{r.key, v, 1});
-    if (fresh) {
-      if (agg == rel::Agg::Count) it->second.value = 1;
-      continue;
-    }
-    it->second.count += 1;
-    switch (agg) {
-      case rel::Agg::Sum: it->second.value += v; break;
-      case rel::Agg::Count: it->second.value += 1; break;
-      case rel::Agg::Min:
-        it->second.value = std::min(it->second.value, v);
-        break;
-      case rel::Agg::Max:
-        it->second.value = std::max(it->second.value, v);
-        break;
-    }
-  }
-  return m;
 }
 
 void expect_groups_match(const rel::GroupByResult& got,
@@ -364,6 +316,125 @@ TEST(RelGroupBy, GroupBoundTruncates) {
     EXPECT_EQ(got.groups[i].key, key);
     EXPECT_EQ(got.groups[i].value, row.value);
     ++i;
+  }
+}
+
+// ---- input contract ----------------------------------------------------
+
+TEST(RelContract, KeysAtOrAboveTheLimitThrow) {
+  // The key contract throws in every build type instead of living in a
+  // debug assert: near 2^63 the band arithmetic would otherwise wrap and
+  // silently drop matches.
+  auto rt = Runtime::builder().seed(18).build();
+  const uint64_t huge = (uint64_t{1} << 63) + 10;
+  const std::vector<LRow> big_l = {LRow{huge, 1}};
+  const std::vector<RRow> big_r = {RRow{huge + 1, 2}};
+  const std::vector<LRow> ok_l = {LRow{5, 1}};
+  const std::vector<RRow> ok_r = {RRow{5, 2}};
+  EXPECT_THROW((void)run_band(rt, big_l, big_r, 1, 0), std::invalid_argument);
+  EXPECT_THROW((void)run_equi(rt, big_l, ok_r, 0), std::invalid_argument);
+  EXPECT_THROW((void)run_equi(rt, ok_l, big_r, 0), std::invalid_argument);
+  const auto val = [](const RRow& r) { return r.id; };
+  const std::vector<RRow> at_limit = {RRow{5, 1}, RRow{rel::kKeyLimit, 2}};
+  EXPECT_THROW((void)rt.group_by_aggregate(std::span<const RRow>(at_limit),
+                                           kRKey, val, rel::Agg::Sum),
+               std::invalid_argument);
+
+  // One below the limit is legal for solo calls, band saturation included.
+  const uint64_t top = rel::kKeyLimit - 1;
+  const std::vector<LRow> top_l = {LRow{top, 1}};
+  const std::vector<RRow> top_r = {RRow{0, 2}, RRow{top, 3}};
+  EXPECT_EQ(run_band(rt, top_l, top_r, rel::kKeyLimit, 0).matched, 2u);
+  EXPECT_EQ(run_equi(rt, top_l, top_r, 0).matched, 1u);
+  const auto g = rt.group_by_aggregate(std::span<const RRow>(top_r), kRKey,
+                                       val, rel::Agg::Sum);
+  ASSERT_EQ(g.groups.size(), 2u);
+  EXPECT_EQ(g.groups[1].key, top);
+  EXPECT_EQ(g.groups[1].value, 3u);
+}
+
+// ---- one-slot batches are solo calls -----------------------------------
+
+/// Fresh analytic Runtime with the ideal cache and the address trace on.
+Runtime costed_rt() {
+  return Runtime::builder().seed(19).cache(1 << 14, 64).trace().build();
+}
+
+struct RunCost {
+  uint64_t work, span, misses, digest;
+  bool operator==(const RunCost&) const = default;
+  friend std::ostream& operator<<(std::ostream& os, const RunCost& c) {
+    return os << "{work " << c.work << ", span " << c.span << ", misses "
+              << c.misses << ", digest " << c.digest << "}";
+  }
+};
+
+RunCost cost_of(const Runtime& rt) {
+  return RunCost{rt.cost().work, rt.cost().span, rt.cache_misses(),
+                 rt.trace_digest()};
+}
+
+std::vector<uint64_t> keys_of(const auto& rows) {
+  std::vector<uint64_t> keys;
+  for (const auto& r : rows) keys.push_back(r.key);
+  return keys;
+}
+
+TEST(RelOneSlot, BatchedHooksCostTheSameAsSoloCalls) {
+  // A one-slot join_batched / group_by_batched runs the same engine plan
+  // as the solo operator: equal work, span, cache misses and address
+  // trace, and the same rows.
+  const auto L = make_left(150, 40, 71);
+  const auto R = make_right(230, 40, 72);
+  for (const bool banded : {false, true}) {
+    SCOPED_TRACE(banded ? "band" : "equi");
+    const uint64_t band = banded ? 2 : 0;
+    const size_t bound = 700;
+    auto solo_rt = costed_rt();
+    const auto solo = banded ? run_band(solo_rt, L, R, band, bound)
+                             : run_equi(solo_rt, L, R, bound);
+    auto batch_rt = costed_rt();
+    std::vector<obl::Elem> frame;
+    const auto matched = batch_rt.join_batched(
+        keys_of(L), keys_of(R),
+        {rel::JoinSlot{L.size(), R.size(), bound, banded, band}}, frame);
+    EXPECT_EQ(cost_of(batch_rt), cost_of(solo_rt));
+    ASSERT_EQ(matched.size(), 1u);
+    EXPECT_EQ(matched[0], solo.matched);
+    Pairs got;
+    for (const obl::Elem& e : frame) {
+      if (!(e.flags & obl::Elem::kFiller)) {
+        got.emplace_back(L[e.payload].id, R[e.aux].id);
+      }
+    }
+    EXPECT_EQ(got, ids_of(solo));
+  }
+
+  const auto rows = make_right(400, 60, 73);
+  std::vector<uint64_t> vals;
+  for (const RRow& r : rows) vals.push_back(r.id);
+  auto solo_rt = costed_rt();
+  const auto solo = solo_rt.group_by_aggregate(
+      std::span<const RRow>(rows), kRKey,
+      [](const RRow& r) { return r.id; }, rel::Agg::Max,
+      rel::GroupByOptions{.group_bound = 50, .sort = {}});
+  auto batch_rt = costed_rt();
+  std::vector<obl::Elem> frame;
+  const auto groups = batch_rt.group_by_batched(
+      keys_of(rows), vals, {rel::GroupSlot{rows.size(), 50}}, rel::Agg::Max,
+      frame);
+  EXPECT_EQ(cost_of(batch_rt), cost_of(solo_rt));
+  ASSERT_EQ(groups.size(), 1u);
+  EXPECT_EQ(groups[0], solo.groups_total);
+  std::vector<obl::Elem> live;
+  for (const obl::Elem& e : frame) {
+    if (!(e.flags & obl::Elem::kFiller)) live.push_back(e);
+  }
+  ASSERT_EQ(live.size(), solo.groups.size());
+  for (size_t g = 0; g < live.size(); ++g) {
+    EXPECT_EQ(live[g].key, solo.groups[g].key);
+    EXPECT_EQ(live[g].payload, solo.groups[g].value);
+    EXPECT_EQ(live[g].aux, solo.groups[g].count);
   }
 }
 

@@ -12,10 +12,12 @@
 #include <cstdint>
 #include <numeric>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "dopar.hpp"
+#include "testutil.hpp"
 
 namespace {
 
@@ -41,6 +43,22 @@ std::vector<uint64_t> rel_keys(uint64_t tag, size_t n, uint64_t bound) {
     keys[i] = dopar::util::hash_rand(tag, i) % bound;
   }
   return keys;
+}
+
+/// Check one slot of a join_batched frame against the independent
+/// nested-loop oracle: the true match count, and the first `bound` pairs
+/// of (left idx, right idx) in output order.
+void expect_slot_matches_oracle(const std::vector<uint64_t>& lk,
+                                const std::vector<uint64_t>& rk,
+                                bool banded, uint64_t band, size_t bound,
+                                uint64_t matched,
+                                const dopar::test::IdPairs& got,
+                                const std::string& what) {
+  dopar::test::IdPairs want = dopar::test::oracle_join(
+      dopar::test::keyed_rows(lk), dopar::test::keyed_rows(rk), banded, band);
+  EXPECT_EQ(matched, want.size()) << what;
+  if (want.size() > bound) want.resize(bound);
+  EXPECT_EQ(got, want) << what;
 }
 
 void expect_join_eq(const JoinRes& a, const JoinRes& b, const char* what) {
@@ -432,6 +450,9 @@ TEST(ServiceRel, JoinBatchedHookMatchesSoloRuns) {
     }
     off += s.shape.bound;
     EXPECT_EQ(got, want.rows) << "slot " << si;
+    expect_slot_matches_oracle(s.lk, s.rk, s.shape.banded, s.shape.band,
+                               s.shape.bound, matched[si], got,
+                               "oracle, slot " + std::to_string(si));
   }
 }
 
@@ -494,6 +515,11 @@ TEST(ServiceRel, EquiJoinFastPathAdversarialShapes) {
       }
       off += shapes[si].bound;
       EXPECT_EQ(got, want.rows) << "round " << rd << " slot " << si;
+      expect_slot_matches_oracle(
+          in[si].first, in[si].second, false, 0, shapes[si].bound,
+          matched[si], got,
+          "oracle, round " + std::to_string(rd) + " slot " +
+              std::to_string(si));
     }
   }
 }
@@ -544,6 +570,20 @@ TEST(ServiceRel, GroupByBatchedHookMatchesSoloRuns) {
       EXPECT_EQ(got[g].key, want.groups[g].key) << "slot " << si;
       EXPECT_EQ(got[g].value, want.groups[g].value) << "slot " << si;
       EXPECT_EQ(got[g].count, want.groups[g].count) << "slot " << si;
+    }
+    // Against the independent oracle: the first `bound` groups by key.
+    const auto oracle = dopar::test::oracle_group(
+        dopar::test::keyed_rows(s.keys, s.vals), dopar::rel::Agg::Sum);
+    EXPECT_EQ(groups[si], oracle.size()) << "slot " << si;
+    ASSERT_EQ(got.size(), std::min(oracle.size(), s.shape.bound))
+        << "slot " << si;
+    size_t g = 0;
+    for (const auto& [key, row] : oracle) {
+      if (g == got.size()) break;
+      EXPECT_EQ(got[g].key, key) << "slot " << si << " group " << g;
+      EXPECT_EQ(got[g].value, row.value) << "slot " << si << " group " << g;
+      EXPECT_EQ(got[g].count, row.count) << "slot " << si << " group " << g;
+      ++g;
     }
   }
 }
