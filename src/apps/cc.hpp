@@ -2,9 +2,11 @@
 // Oblivious connected components (paper Section 5.3, Theorem 5.2(ii)).
 //
 // Shiloach–Vishkin-style hooking + pointer doubling, executed as a fixed
-// number of batch-oblivious rounds (O(log n)); every round performs O(1)
-// oblivious gathers/scatters over the m edges and n labels — exactly the
-// per-step cost of the space-bounded PRAM simulation the paper invokes.
+// number of batch-oblivious rounds (O(log n)). Every round performs one
+// gather of both endpoint labels (one send-receive over n + 2m records),
+// one scatter_min of m hook proposals into the n labels, and two jumps
+// (gathers over n + n) — exactly the per-step cost of the space-bounded
+// PRAM simulation the paper invokes.
 // Work O(m log n * sort-overhead), span Õ(log^2 n), and the round count is
 // a fixed function of n, so the whole access pattern is data-independent.
 
@@ -28,6 +30,8 @@ namespace detail {
 
 /// Engine behind Runtime::connected_components.
 /// Component label per vertex (the minimum vertex id in the component).
+/// Requires every endpoint < n; Runtime::connected_components throws
+/// std::invalid_argument otherwise.
 inline std::vector<uint64_t> connected_components(
     size_t n, const std::vector<GEdge>& edges,
     const SorterBackend& sorter = default_backend()) {
@@ -41,12 +45,15 @@ inline std::vector<uint64_t> connected_components(
     return out;
   }
 
-  vec<uint64_t> au(m), av(m), pu(m), pv(m), tgt(m), val(m), live(m);
-  const slice<uint64_t> AU = au.s(), AV = av.s(), PU = pu.s(), PV = pv.s();
+  // Both endpoints of every edge live in one 2m address array (u-half,
+  // then v-half), so each round reads their labels with one gather.
+  vec<uint64_t> auv(2 * m), puv(2 * m), tgt(m), val(m), live(m);
+  const slice<uint64_t> AUV = auv.s(), PUV = puv.s();
+  const slice<uint64_t> PU = PUV.sub(0, m), PV = PUV.sub(m, m);
   const slice<uint64_t> TG = tgt.s(), VA = val.s(), LV = live.s();
   fj::for_range(0, m, fj::kDefaultGrain, [&](size_t e) {
-    AU[e] = edges[e].u;
-    AV[e] = edges[e].v;
+    AUV[e] = edges[e].u;
+    AUV[m + e] = edges[e].v;
   });
 
   vec<uint64_t> ja(n), jg(n);
@@ -61,8 +68,7 @@ inline std::vector<uint64_t> connected_components(
 
   const unsigned rounds = 2 * util::log2_ceil(n) + 4;
   for (unsigned r = 0; r < rounds; ++r) {
-    gather(P, AU, PU, sorter);
-    gather(P, AV, PV, sorter);
+    gather(P, AUV, PUV, sorter);
     // Hook the larger label onto the smaller one (roots only: after the
     // jumps below, labels are roots or near-roots; extra hooks onto
     // non-roots are benign because the value written is always smaller

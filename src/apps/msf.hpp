@@ -5,7 +5,11 @@
 // component selects its minimum-weight outgoing edge (one scatter_min into
 // a per-label "best edge" table), selected edges hook the larger label
 // onto the smaller and join the forest, and pointer doubling flattens
-// labels. A fixed O(log n) round count keeps the access pattern
+// labels. Every round performs one gather of both endpoint labels (one
+// send-receive over n + 2m records), one scatter_min of 2m proposals into
+// the n-cell best-edge table, one gather of both endpoints' winners over
+// the same 2m addresses, one hooking scatter_min of m proposals, and
+// log n + 1 jumps. A fixed O(log n) round count keeps the access pattern
 // data-independent. Distinct weights are assumed (ties broken by edge id,
 // packed into the proposal value), which also makes the MSF unique.
 
@@ -25,7 +29,8 @@ namespace detail {
 
 /// Engine behind Runtime::msf.
 /// Returns a 0/1 flag per input edge: 1 iff the edge is in the MSF.
-/// Requires w < 2^31 and m < 2^31 (weight and id pack into one proposal).
+/// Requires w < 2^31 and m < 2^31 (weight and id pack into one proposal);
+/// Runtime::msf throws std::invalid_argument otherwise.
 inline std::vector<uint8_t> msf(size_t n, const std::vector<GEdge>& edges,
                                 const SorterBackend& sorter =
                                     default_backend()) {
@@ -37,12 +42,15 @@ inline std::vector<uint8_t> msf(size_t n, const std::vector<GEdge>& edges,
   const slice<uint64_t> P = Pv.s();
   fj::for_range(0, n, fj::kDefaultGrain, [&](size_t i) { P[i] = i; });
 
-  vec<uint64_t> au(m), av(m), pu(m), pv(m);
-  const slice<uint64_t> AU = au.s(), AV = av.s(), PU = pu.s(), PV = pv.s();
+  // Per-endpoint arrays are 2m long: the u-half, then the v-half. One
+  // gather reads both endpoints' labels, and the labels double as the
+  // addresses of the two proposals each edge makes.
+  vec<uint64_t> auv(2 * m), puv(2 * m);
+  const slice<uint64_t> AUV = auv.s(), PUV = puv.s();
+  const slice<uint64_t> PU = PUV.sub(0, m), PV = PUV.sub(m, m);
   fj::for_range(0, m, fj::kDefaultGrain, [&](size_t e) {
-    AU[e] = edges[e].u;
-    AV[e] = edges[e].v;
-    assert(edges[e].w < (uint64_t{1} << 31));
+    AUV[e] = edges[e].u;
+    AUV[m + e] = edges[e].v;
   });
 
   vec<uint64_t> ja(n), jg(n);
@@ -56,40 +64,37 @@ inline std::vector<uint8_t> msf(size_t n, const std::vector<GEdge>& edges,
   const uint64_t kNone = ~uint64_t{0};
   vec<uint64_t> bestv(n);
   const slice<uint64_t> BEST = bestv.s();
-  vec<uint64_t> prop_t(2 * m), prop_v(2 * m), prop_l(2 * m);
-  const slice<uint64_t> PT = prop_t.s(), PW = prop_v.s(), PL = prop_l.s();
-  vec<uint64_t> bu(m), bv(m);
-  const slice<uint64_t> BU = bu.s(), BV = bv.s();
+  vec<uint64_t> prop_v(2 * m), prop_l(2 * m), buv(2 * m);
+  const slice<uint64_t> PW = prop_v.s(), PL = prop_l.s(), BUV = buv.s();
+  const slice<uint64_t> BU = BUV.sub(0, m), BV = BUV.sub(m, m);
   vec<uint64_t> chosen_f(m);
   const slice<uint64_t> CF = chosen_f.s();
 
   const unsigned rounds = util::log2_ceil(n) + 2;
   for (unsigned r = 0; r < rounds; ++r) {
-    gather(P, AU, PU, sorter);
-    gather(P, AV, PV, sorter);
+    gather(P, AUV, PUV, sorter);
     // Reset the per-label best-edge table.
     fj::for_range(0, n, fj::kDefaultGrain, [&](size_t i) { BEST[i] = kNone; });
-    // Each edge proposes itself to both endpoint components.
+    // Each edge proposes itself to both endpoint components (addresses
+    // PUV: the u-half, then the v-half).
     fj::for_range(0, m, fj::kDefaultGrain, [&](size_t e) {
       sim::tick(1);
       const uint64_t packed = (edges[e].w << 32) | e;
       const uint64_t lv = PU[e] != PV[e] ? 1u : 0u;
-      PT[e] = PU[e];
       PW[e] = packed;
       PL[e] = lv;
-      PT[m + e] = PV[e];
       PW[m + e] = packed;
       PL[m + e] = lv;
     });
-    scatter_min(BEST, PT, PW, PL, sorter);
-    // Each edge checks whether it won either endpoint's selection.
-    gather(BEST, PU, BU, sorter);
-    gather(BEST, PV, BV, sorter);
+    scatter_min(BEST, PUV, PW, PL, sorter);
+    // Each edge checks whether it won either endpoint's selection (bitwise
+    // & and |: a short-circuit would make the BU/BV reads data-dependent).
+    gather(BEST, PUV, BUV, sorter);
     fj::for_range(0, m, fj::kDefaultGrain, [&](size_t e) {
       sim::tick(1);
       const uint64_t packed = (edges[e].w << 32) | e;
-      const bool won = (PU[e] != PV[e]) && (BU[e] == packed ||
-                                            BV[e] == packed);
+      const bool won = (PU[e] != PV[e]) & ((BU[e] == packed) |
+                                           (BV[e] == packed));
       CF[e] = won ? 1u : 0u;
     });
     for (size_t e = 0; e < m; ++e) in_msf[e] |= CF[e] != 0;

@@ -329,7 +329,13 @@ class Runtime {
     with_env([&] { apps::gather(table, addrs, out, *sorter); });
   }
 
-  /// Batch-oblivious conflict-resolved table write (minimum proposal wins).
+  /// Batch-oblivious conflict-resolved table write: each live proposal
+  /// (addrs[i], values[i]) with addrs[i] < |table| competes for its cell,
+  /// and the minimum value wins (with `combine_min`, only if smaller than
+  /// the cell's old value). Dead and out-of-range proposals never land.
+  /// One segmented min-scan between two canonical sorts of
+  /// pow2_ceil(|addrs| + |table|) records; the schedule depends on the
+  /// two sizes only.
   void scatter_min(const slice<uint64_t>& table,
                    const slice<uint64_t>& addrs,
                    const slice<uint64_t>& values,
@@ -389,7 +395,8 @@ class Runtime {
 
   /// Obliviously sort arbitrary records by an extracted integer key,
   /// ascending. `key_of(rec)` must yield a value convertible to uint64_t
-  /// and < 2^64 - 1 (the filler sentinel). The oblivious pipeline runs on
+  /// and < 2^64 - 1 (the filler sentinel; std::invalid_argument
+  /// otherwise, in every build type). The oblivious pipeline runs on
   /// (key, index) pairs; the records are then reordered through the index
   /// indirection, so Rec needs no filler encoding, no fixed 32-byte
   /// layout, and no default constructor — only copyability. Ties are
@@ -406,6 +413,14 @@ class Runtime {
     // sorted — a typo'd name must throw regardless of input size.
     const auto sorter = resolve(opts);
     if (n <= 1) return;
+    std::vector<uint64_t> rec_keys(n);
+    for (size_t i = 0; i < n; ++i) {
+      rec_keys[i] = static_cast<uint64_t>(key_of(recs[i]));
+      if (rec_keys[i] == ~uint64_t{0}) {
+        throw std::invalid_argument(
+            "sort_records: key 2^64-1 is reserved (the filler sentinel)");
+      }
+    }
     const uint64_t s = fresh_seed();
     obs::Span span("rt.sort_records", "n", n);
     std::vector<uint64_t> order(n);
@@ -415,8 +430,7 @@ class Runtime {
       fj::for_range(0, n, fj::kDefaultGrain, [&](size_t i) {
         sim::tick(1);
         obl::Elem e;
-        e.key = static_cast<uint64_t>(key_of(recs[i]));
-        assert(e.key != ~uint64_t{0} && "key 2^64-1 is the filler sentinel");
+        e.key = rec_keys[i];
         e.payload = i;
         keys[i] = e;
       });
@@ -594,11 +608,13 @@ class Runtime {
     return out;
   }
 
-  /// Oblivious connected components (label = min vertex id).
+  /// Oblivious connected components (label = min vertex id). Every
+  /// endpoint must be < n (std::invalid_argument otherwise).
   std::vector<uint64_t> connected_components(
       size_t n, const std::vector<apps::GEdge>& edges,
       const SortOptions& opts = {}) {
     const auto sorter = resolve(opts);
+    check_graph("connected_components", n, edges, /*weighted=*/false);
     obs::Span span("rt.connected_components", "n", n, "edges", edges.size());
     std::vector<uint64_t> out;
     with_env(
@@ -606,10 +622,14 @@ class Runtime {
     return out;
   }
 
-  /// Oblivious minimum spanning forest (0/1 flag per input edge).
+  /// Oblivious minimum spanning forest (0/1 flag per input edge). Every
+  /// endpoint must be < n, every weight < 2^31 and the edge count < 2^31
+  /// (weight and edge id pack into one 64-bit proposal);
+  /// std::invalid_argument otherwise.
   std::vector<uint8_t> msf(size_t n, const std::vector<apps::GEdge>& edges,
                            const SortOptions& opts = {}) {
     const auto sorter = resolve(opts);
+    check_graph("msf", n, edges, /*weighted=*/true);
     obs::Span span("rt.msf", "n", n, "edges", edges.size());
     std::vector<uint8_t> out;
     with_env([&] { out = apps::detail::msf(n, edges, *sorter); });
@@ -817,6 +837,28 @@ class Runtime {
       res.rows.emplace_back(left[e.payload], right[e.aux]);
     }
     return res;
+  }
+
+  /// Throws unless every endpoint is < n and, for `weighted` (MSF), every
+  /// weight and the edge count are < 2^31.
+  static void check_graph(const char* what, size_t n,
+                          const std::vector<apps::GEdge>& edges,
+                          bool weighted) {
+    constexpr uint64_t kMaxW = uint64_t{1} << 31;
+    if (weighted && edges.size() >= kMaxW) {
+      throw std::invalid_argument(std::string(what) +
+                                  ": edge count must be < 2^31");
+    }
+    for (const apps::GEdge& e : edges) {
+      if (e.u >= n || e.v >= n) {
+        throw std::invalid_argument(std::string(what) +
+                                    ": edge endpoint out of range (>= n)");
+      }
+      if (weighted && e.w >= kMaxW) {
+        throw std::invalid_argument(std::string(what) +
+                                    ": edge weights must be < 2^31");
+      }
+    }
   }
 
   /// Throws unless every key fits the engine's key ceiling for a call

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "apps/cc.hpp"
@@ -14,6 +16,7 @@
 #include "apps/euler.hpp"
 #include "apps/listrank.hpp"
 #include "apps/msf.hpp"
+#include "dopar.hpp"
 #include "insecure/contraction.hpp"
 #include "insecure/euler.hpp"
 #include "insecure/graph.hpp"
@@ -79,6 +82,91 @@ TEST(GatherScatter, CombineMinRespectsOldValue) {
   vals.s()[0] = 9;
   apps::scatter_min(table.s(), addrs.s(), vals.s(), live.s(), default_backend(), true);
   EXPECT_EQ(table.s()[0], 3u);  // old value smaller, kept
+}
+
+// Plain-loop reference for scatter_min: the minimum live in-range proposal
+// per address, combined with the old cell by min when `combine_min`.
+std::vector<uint64_t> scatter_min_oracle(std::vector<uint64_t> table,
+                                         const std::vector<uint64_t>& addrs,
+                                         const std::vector<uint64_t>& vals,
+                                         const std::vector<uint64_t>& live,
+                                         bool combine_min) {
+  std::vector<bool> hit(table.size(), false);
+  std::vector<uint64_t> best(table.size(), 0);
+  for (size_t i = 0; i < addrs.size(); ++i) {
+    const uint64_t a = addrs[i];
+    if (!live[i] || a >= table.size()) continue;
+    if (!hit[a] || vals[i] < best[a]) best[a] = vals[i];
+    hit[a] = true;
+  }
+  for (size_t a = 0; a < table.size(); ++a) {
+    if (hit[a]) table[a] = combine_min ? std::min(table[a], best[a]) : best[a];
+  }
+  return table;
+}
+
+// Differential check of scatter_min against the oracle on every registered
+// backend: sizes around and across powers of two, all-dead batches, heavy
+// duplicates (few addresses, few values), and live proposals that address
+// past the table, including the ~0 "no node" sentinel and 2^63 + a.
+TEST(GatherScatter, ScatterMinMatchesOracle) {
+  enum class Shape { Mixed, AllDead, Crowded, OutOfRange };
+  for (const std::string& name : backend_names()) {
+    const auto sorter = make_backend(name);
+    util::Rng rng(0x5ca7 + name.size());
+    for (size_t q : {size_t{0}, size_t{1}, size_t{7}, size_t{1000}}) {
+      for (size_t s : {size_t{1}, size_t{5}, size_t{64}, size_t{1000}}) {
+        for (Shape shape : {Shape::Mixed, Shape::AllDead, Shape::Crowded,
+                            Shape::OutOfRange}) {
+          for (bool combine : {false, true}) {
+            std::vector<uint64_t> table(s), addrs(q), vals(q), live(q);
+            for (auto& t : table) t = rng.below(1000);
+            for (size_t i = 0; i < q; ++i) {
+              switch (shape) {
+                case Shape::Mixed:
+                  addrs[i] = rng.below(s + 4);  // some land past the table
+                  vals[i] = rng.below(1000);
+                  live[i] = rng.below(4) != 0;
+                  break;
+                case Shape::AllDead:
+                  addrs[i] = rng.below(s);
+                  vals[i] = rng.below(10);
+                  live[i] = 0;
+                  break;
+                case Shape::Crowded:
+                  addrs[i] = rng.below(s < 3 ? s : 3);
+                  vals[i] = rng.below(4);  // many duplicate values
+                  live[i] = 1;
+                  break;
+                case Shape::OutOfRange:
+                  // ~0, just past the table, or 2^63 + a valid address
+                  // (which a key shifted left by one would alias).
+                  switch (rng.below(4)) {
+                    case 0: addrs[i] = ~uint64_t{0}; break;
+                    case 1: addrs[i] = s + rng.below(9); break;
+                    case 2:
+                      addrs[i] = (uint64_t{1} << 63) + rng.below(s);
+                      break;
+                    default: addrs[i] = rng.below(s); break;
+                  }
+                  vals[i] = rng.below(1000);
+                  live[i] = 1;
+                  break;
+              }
+            }
+            const auto want =
+                scatter_min_oracle(table, addrs, vals, live, combine);
+            vec<uint64_t> t(table), a(addrs), v(vals), l(live);
+            apps::scatter_min(t.s(), a.s(), v.s(), l.s(), *sorter, combine);
+            EXPECT_EQ(t.underlying(), want)
+                << name << " q=" << q << " s=" << s
+                << " shape=" << static_cast<int>(shape)
+                << " combine_min=" << combine;
+          }
+        }
+      }
+    }
+  }
 }
 
 class ListRankTest : public ::testing::TestWithParam<size_t> {};
@@ -334,6 +422,134 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::pair<size_t, size_t>{8, 10},
                       std::pair<size_t, size_t>{32, 60},
                       std::pair<size_t, size_t>{100, 300}));
+
+// --- Release-mode graph contracts -------------------------------------------
+
+TEST(GraphContract, EndpointAtOrAboveNThrows) {
+  auto rt = Runtime::builder().seed(3).build();
+  const std::vector<apps::GEdge> v_out{{0, 1, 1}, {3, 9, 2}};
+  const std::vector<apps::GEdge> u_out{{4, 0, 1}};
+  EXPECT_THROW(rt.connected_components(4, v_out), std::invalid_argument);
+  EXPECT_THROW(rt.connected_components(4, u_out), std::invalid_argument);
+  EXPECT_THROW(rt.msf(4, v_out), std::invalid_argument);
+  EXPECT_THROW(rt.msf(4, u_out), std::invalid_argument);
+  // n = 0 admits no edge at all.
+  EXPECT_THROW(rt.connected_components(0, u_out), std::invalid_argument);
+  // The largest legal endpoint is n - 1.
+  const std::vector<apps::GEdge> ok{{3, 0, 1}};
+  EXPECT_EQ(rt.connected_components(4, ok),
+            (std::vector<uint64_t>{0, 1, 2, 0}));
+  EXPECT_EQ(rt.msf(4, ok), (std::vector<uint8_t>{1}));
+}
+
+TEST(GraphContract, MsfWeightAtOrAbove2To31Throws) {
+  auto rt = Runtime::builder().seed(3).build();
+  std::vector<apps::GEdge> edges{{0, 1, 5}, {1, 2, 7}, {0, 2, 6}};
+  edges[1].w = (uint64_t{1} << 33) + 1;  // would pack as the lightest
+  EXPECT_THROW(rt.msf(3, edges), std::invalid_argument);
+  edges[1].w = uint64_t{1} << 31;
+  EXPECT_THROW(rt.msf(3, edges), std::invalid_argument);
+  edges[1].w = (uint64_t{1} << 31) - 1;  // the largest legal weight
+  EXPECT_EQ(rt.msf(3, edges), (std::vector<uint8_t>{1, 0, 1}));
+  // Weights mean nothing to connected components.
+  edges[1].w = ~uint64_t{0};
+  EXPECT_EQ(rt.connected_components(3, edges),
+            (std::vector<uint64_t>{0, 0, 0}));
+}
+
+// --- Obliviousness pins -----------------------------------------------------
+//
+// On a network backend the apps' access pattern is a function of the public
+// sizes only: two inputs of equal sizes but different contents must leave
+// the same trace digest.
+
+Runtime traced_runtime() {
+  return Runtime::builder().seed(5).backend("bitonic_ca").trace().build();
+}
+
+TEST(AppsOblivious, GatherDigestIsContentIndependent) {
+  auto digest = [](uint64_t seed) {
+    auto rt = traced_runtime();
+    util::Rng rng(seed);
+    std::vector<uint64_t> table(100), addrs(37);
+    for (auto& t : table) t = rng();
+    for (auto& a : addrs) {
+      a = rng.below(3) ? rng.below(100) : ~uint64_t{0};
+    }
+    auto tv = rt.make_vec<uint64_t>(table);
+    auto av = rt.make_vec<uint64_t>(addrs);
+    auto out = rt.make_vec<uint64_t>(addrs.size());
+    rt.gather(tv.s(), av.s(), out.s());
+    return rt.trace_digest();
+  };
+  const uint64_t d = digest(1);
+  EXPECT_NE(d, 0u);
+  EXPECT_EQ(d, digest(2));
+}
+
+TEST(AppsOblivious, ScatterMinDigestIsContentIndependent) {
+  auto digest = [](uint64_t seed, bool combine_min) {
+    auto rt = traced_runtime();
+    util::Rng rng(seed);
+    std::vector<uint64_t> table(64), addrs(100), vals(100), live(100);
+    for (auto& t : table) t = rng.below(50);
+    for (size_t i = 0; i < addrs.size(); ++i) {
+      // Seed-dependent mix of in-range, past-the-end and ~0 addresses,
+      // and of live and dead proposals.
+      const uint64_t kind = rng.below(4);
+      addrs[i] = kind == 0   ? ~uint64_t{0}
+                 : kind == 1 ? 64 + rng.below(10)
+                             : rng.below(seed == 1 ? 64 : 3);
+      vals[i] = rng.below(100);
+      live[i] = rng.below(seed == 1 ? 2 : 8) != 0;
+    }
+    auto tv = rt.make_vec<uint64_t>(table);
+    auto av = rt.make_vec<uint64_t>(addrs);
+    auto vv = rt.make_vec<uint64_t>(vals);
+    auto lv = rt.make_vec<uint64_t>(live);
+    rt.scatter_min(tv.s(), av.s(), vv.s(), lv.s(), combine_min);
+    return rt.trace_digest();
+  };
+  for (bool combine : {false, true}) {
+    const uint64_t d = digest(1, combine);
+    EXPECT_NE(d, 0u);
+    EXPECT_EQ(d, digest(2, combine)) << "combine_min=" << combine;
+  }
+}
+
+TEST(AppsOblivious, ConnectedComponentsDigestIsGraphIndependent) {
+  constexpr size_t n = 48, m = 40;
+  auto digest = [&](const std::vector<apps::GEdge>& edges) {
+    auto rt = traced_runtime();
+    const auto labels = rt.connected_components(n, edges);
+    EXPECT_EQ(labels, insecure::cc_oracle(n, edges));
+    return rt.trace_digest();
+  };
+  // A random graph vs a path prefix: different component structure.
+  std::vector<apps::GEdge> path;
+  for (uint32_t v = 1; v <= m; ++v) path.push_back(apps::GEdge{v - 1, v, 0});
+  const uint64_t d = digest(random_graph(n, m, 91));
+  EXPECT_NE(d, 0u);
+  EXPECT_EQ(d, digest(path));
+}
+
+TEST(AppsOblivious, MsfDigestIsGraphIndependent) {
+  constexpr size_t n = 40, m = 60;
+  auto digest = [&](uint64_t seed) {
+    auto edges = random_graph(n, m, seed);
+    util::Rng rng(seed);
+    for (size_t e = 0; e < m; ++e) edges[e].w = rng.below(1u << 20);
+    auto rt = traced_runtime();
+    const auto flags = rt.msf(n, edges);
+    uint64_t got = 0;
+    for (size_t e = 0; e < m; ++e) got += flags[e] ? edges[e].w : 0;
+    EXPECT_EQ(got, insecure::msf_weight_oracle(n, edges));
+    return rt.trace_digest();
+  };
+  const uint64_t d = digest(17);
+  EXPECT_NE(d, 0u);
+  EXPECT_EQ(d, digest(18));
+}
 
 }  // namespace
 }  // namespace dopar

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -160,6 +161,19 @@ TEST(RuntimeIsolation, ConcurrentSortsOnDistinctPoolsAreCorrect) {
   tb.join();
   EXPECT_TRUE(test::sorted_by_key(a));
   EXPECT_TRUE(test::sorted_by_key(b));
+}
+
+// The filler sentinel is a Release-mode contract, not a Debug assert.
+TEST(RuntimeContract, SortRecordsRejectsFillerSentinelKey) {
+  auto rt = Runtime::builder().seed(2).build();
+  std::vector<uint64_t> keys{5, ~uint64_t{0}, 3};
+  EXPECT_THROW(rt.sort_records(std::span<uint64_t>(keys),
+                               [](uint64_t k) { return k; }),
+               std::invalid_argument);
+  EXPECT_EQ(keys, (std::vector<uint64_t>{5, ~uint64_t{0}, 3}));  // untouched
+  keys[1] = ~uint64_t{0} - 1;  // the largest legal key
+  rt.sort_records(std::span<uint64_t>(keys), [](uint64_t k) { return k; });
+  EXPECT_EQ(keys, (std::vector<uint64_t>{3, 5, ~uint64_t{0} - 1}));
 }
 
 // Same builder configuration => identical outputs AND identical ORP trace
