@@ -308,11 +308,14 @@ class Runtime {
   }
 
   /// Oblivious routing: sources (distinct keys) feed receivers; results in
-  /// original receiver order (kNotFound flags misses).
+  /// original receiver order (kNotFound flags misses). |results| must equal
+  /// |dests|, and every receiver key and non-filler source key must be
+  /// < 2^63 (std::invalid_argument otherwise).
   void send_receive(const slice<obl::Elem>& sources,
                     const slice<obl::Elem>& dests,
                     const slice<obl::Elem>& results,
                     const SortOptions& opts = {}) {
+    check_send_receive(sources, dests, results);
     const auto sorter = resolve(opts);
     obs::Span span("rt.send_receive", "sources", sources.size(), "dests",
                    dests.size());
@@ -321,9 +324,11 @@ class Runtime {
     });
   }
 
-  /// Batch-oblivious table read: out[i] = table[addrs[i]].
+  /// Batch-oblivious table read: out[i] = table[addrs[i]]. |out| must
+  /// equal |addrs| (std::invalid_argument otherwise).
   void gather(const slice<uint64_t>& table, const slice<uint64_t>& addrs,
               const slice<uint64_t>& out, const SortOptions& opts = {}) {
+    check_size("gather", "out", out.size(), addrs.size());
     const auto sorter = resolve(opts);
     obs::Span span("rt.gather", "n", addrs.size());
     with_env([&] { apps::gather(table, addrs, out, *sorter); });
@@ -335,12 +340,15 @@ class Runtime {
   /// the cell's old value). Dead and out-of-range proposals never land.
   /// One segmented min-scan between two canonical sorts of
   /// pow2_ceil(|addrs| + |table|) records; the schedule depends on the
-  /// two sizes only.
+  /// two sizes only. |values| and |live| must equal |addrs|
+  /// (std::invalid_argument otherwise).
   void scatter_min(const slice<uint64_t>& table,
                    const slice<uint64_t>& addrs,
                    const slice<uint64_t>& values,
                    const slice<uint64_t>& live, bool combine_min = false,
                    const SortOptions& opts = {}) {
+    check_size("scatter_min", "values", values.size(), addrs.size());
+    check_size("scatter_min", "live", live.size(), addrs.size());
     const auto sorter = resolve(opts);
     obs::Span span("rt.scatter_min", "n", addrs.size());
     with_env([&] {
@@ -857,6 +865,43 @@ class Runtime {
       if (weighted && e.w >= kMaxW) {
         throw std::invalid_argument(std::string(what) +
                                     ": edge weights must be < 2^31");
+      }
+    }
+  }
+
+  /// Throws unless a per-address array has one entry per address.
+  static void check_size(const char* what, const char* name, size_t got,
+                         size_t addrs) {
+    if (got != addrs) {
+      throw std::invalid_argument(std::string(what) + ": " + name +
+                                  " must have one entry per address");
+    }
+  }
+
+  /// Throws unless |results| = |dests| and every receiver key and
+  /// non-filler source key is < 2^63: send-receive tags each key with one
+  /// low bit (key << 1), which would alias a larger key onto another.
+  /// Reads the records through data(), so an instrumented run's trace does
+  /// not see the check.
+  static void check_send_receive(const slice<obl::Elem>& sources,
+                                 const slice<obl::Elem>& dests,
+                                 const slice<obl::Elem>& results) {
+    if (results.size() != dests.size()) {
+      throw std::invalid_argument(
+          "send_receive: results must have one slot per receiver");
+    }
+    constexpr uint64_t kLimit = uint64_t{1} << 63;
+    for (size_t i = 0; i < sources.size(); ++i) {
+      const obl::Elem& e = sources.data()[i];
+      if (!e.is_filler() && e.key >= kLimit) {
+        throw std::invalid_argument(
+            "send_receive: source keys must be < 2^63");
+      }
+    }
+    for (size_t i = 0; i < dests.size(); ++i) {
+      if (dests.data()[i].key >= kLimit) {
+        throw std::invalid_argument(
+            "send_receive: receiver keys must be < 2^63");
       }
     }
   }

@@ -8,6 +8,16 @@
 // transpose-based recursion of Theorem E.1. Both are data-oblivious: the
 // comparator sequence is a fixed function of n.
 //
+// Native runs (no sim::Session) execute the same network with a coarser
+// schedule: a subproblem of at most kernel::tile_elems<T>() records (one
+// 16 KiB L1 tile) runs its whole sub-network serially (kernel::sort_tile);
+// larger ones fork their halves and merge with the tiled kernel::butterfly.
+// Forking down to single comparators would cost far more than the
+// comparators themselves on a real pool. Instrumented runs keep the naive
+// recursion, whose accounting is what the paper's bounds and the committed
+// analytic snapshots describe. Same comparators and directions on both
+// paths, so the same output bytes, ties included.
+//
 // The element count must be a power of two; callers pad with +inf fillers
 // (Elem::filler() sorts last under ByKey).
 
@@ -58,13 +68,34 @@ void bitonic_sort_naive(const slice<T>& a, size_t lo, size_t n, bool up,
   bitonic_merge_naive(a, lo, n, up, less);
 }
 
+/// Native execution of bitonic_sort_naive's network (see the header):
+/// serial inside one L1 tile, forked halves and a tiled merge above it.
+template <class T, class Less>
+void bitonic_sort_tiled(const slice<T>& a, bool up, const Less& less) {
+  const size_t n = a.size();
+  if (n <= kernel::tile_elems<T>()) {
+    kernel::sort_tile(a, up, less);
+    return;
+  }
+  const size_t k = n / 2;
+  fj::invoke([&] { bitonic_sort_tiled(a.first(k), true, less); },
+             [&] { bitonic_sort_tiled(a.last(k), false, less); });
+  kernel::butterfly(a, up, less);
+}
+
 }  // namespace detail
 
-/// Sort a (|a| a power of two) ascending iff `up`, naive parallelization.
+/// Sort a (|a| a power of two) ascending iff `up`. Instrumented: the naive
+/// parallelization, forked down to single comparators. Native: forks only
+/// above an L1 tile.
 template <class T, class Less = ByKey>
 void bitonic_sort(const slice<T>& a, bool up = true, const Less& less = {}) {
   assert(util::is_pow2(a.size()) || a.size() == 0);
   if (a.size() <= 1) return;
+  if (!kernel::instrumented()) {
+    detail::bitonic_sort_tiled(a, up, less);
+    return;
+  }
   detail::bitonic_sort_naive(a, 0, a.size(), up, less);
 }
 

@@ -39,10 +39,11 @@ namespace detail {
 inline constexpr size_t kBitonicCaBase = 8;
 
 /// Base for uninstrumented native execution. The transpose recursion only
-/// pays off once a subproblem outgrows cache; below this, the tiled
-/// butterfly / batched network in obl/kernel/kernel.hpp is faster than
-/// shuffling through scratch. Same comparator network either way — outputs
-/// are identical, only execution order of independent comparators differs.
+/// pays off once a subproblem outgrows cache; below this, bitonic_sort's
+/// native path (serial L1 tiles, tiled butterfly merges) is faster than
+/// shuffling through scratch. Same comparator network either way (see the
+/// half-direction rule in sort_ca) — outputs are identical, only the
+/// execution order of independent comparators differs.
 inline constexpr size_t kBitonicCaNativeBase = 4096;
 
 inline size_t bitonic_ca_base() {
@@ -89,10 +90,17 @@ void sort_ca(const slice<T>& data, const slice<T>& scratch, bool up,
     bitonic_sort(data, up, less);
     return;
   }
+  // Half directions: above the native base the transpose recursion sorts
+  // (up, !up); at or below it the network is bitonic_sort's, whose halves
+  // run ascending then descending. Instrumented runs recurse past the
+  // native base, so they follow the same rule: both paths then realize one
+  // network, and records with equal keys land in the same order. (The
+  // directions never change which addresses a comparator touches.)
   const size_t h = n / 2;
+  const bool lo_up = n <= kBitonicCaNativeBase ? true : up;
   fj::invoke(
-      [&] { sort_ca(data.first(h), scratch.first(h), up, less); },
-      [&] { sort_ca(data.last(h), scratch.last(h), !up, less); });
+      [&] { sort_ca(data.first(h), scratch.first(h), lo_up, less); },
+      [&] { sort_ca(data.last(h), scratch.last(h), !lo_up, less); });
   merge_ca(data, scratch, up, less);
 }
 

@@ -14,6 +14,14 @@
 //     rounds per call (mask first, then one batched oswap), L1-tiled
 //     butterfly rounds, and memmove bulk copies.
 //
+// Native leaf grain: a fork on the real pool costs about 100 ns, so native
+// recursions stop forking at one L1 tile (kL1TileBytes: 512 Elem, 256
+// BinItem<Routed>). Inside a tile, sort_tile and the butterfly's last
+// log(tile) rounds run serially as batched rounds. The instrumented path
+// keeps its fork-per-comparator recursion because the paper's work/span/
+// cache analysis, the committed analytic snapshots and the trace digests
+// are all stated over that recursion, not over the native schedule.
+//
 // The dual-path rule is safe because a comparator network is a fixed
 // function of n: the set of (i, j, dir) comparators is identical on both
 // paths, and comparators within a round touch disjoint pairs, so any
@@ -106,6 +114,44 @@ inline void strided_run_native(T* p, size_t first, size_t end, size_t gap,
     oswap_batch_raw(reinterpret_cast<unsigned char*>(p + chunk_start),
                     reinterpret_cast<unsigned char*>(p + chunk_start + gap),
                     sizeof(T), step * sizeof(T), mask, cnt);
+  }
+}
+
+/// Native path: the butterfly rounds d = s/2, …, 1 of every s-block of
+/// q[0..m) (2 <= s <= m, powers of two), serially. Block j is ordered
+/// ascending iff (s == m ? up : j is even) — the block directions of one
+/// merge stage of obl::detail::bitonic_sort_naive. A round whose pair runs
+/// are shorter than their count (d < m/(2d)) runs as d strided batches
+/// instead of m/(2d) contiguous ones; either way it executes the same
+/// independent comparators.
+template <class T, class Less>
+void tile_stage_native(T* q, size_t m, size_t s, bool up, const Less& less) {
+  const auto dir = [&](size_t i) { return s == m ? up : (i & s) == 0; };
+  unsigned char mask[kMaskChunk];
+  for (size_t d = s / 2; d >= 1; d /= 2) {
+    const size_t runs = m / (2 * d);
+    if (d >= runs) {
+      for (size_t r = 0; r < m; r += 2 * d) {
+        pair_run_native(q + r, q + r + d, d, dir(r), less);
+      }
+      continue;
+    }
+    for (size_t o = 0; o < d; ++o) {
+      for (size_t k0 = 0; k0 < runs; k0 += kMaskChunk) {
+        const size_t cnt = std::min(kMaskChunk, runs - k0);
+        T* base = q + o + k0 * 2 * d;
+        for (size_t k = 0; k < cnt; ++k) {
+          const T& x = base[k * 2 * d];
+          const T& y = base[k * 2 * d + d];
+          const bool wrong = dir(o + (k0 + k) * 2 * d) ? less(y, x)
+                                                       : less(x, y);
+          mask[k] = static_cast<unsigned char>(wrong);
+        }
+        oswap_batch_raw(reinterpret_cast<unsigned char*>(base),
+                        reinterpret_cast<unsigned char*>(base + d), sizeof(T),
+                        2 * d * sizeof(T), mask, cnt);
+      }
+    }
   }
 }
 
@@ -234,15 +280,23 @@ void butterfly(const slice<T>& a, bool up, const Less& less) {
       detail::pair_run_native(p, p + d, d, up, less);
     });
   }
-  const size_t d0 = d;  // == min(tile, m) / 2
   fj::for_range(0, m / tile, 1, [&](size_t t) {
-    T* q = a.data() + t * tile;
-    for (size_t dd = d0; dd >= 1; dd /= 2) {
-      for (size_t s = 0; s < tile; s += 2 * dd) {
-        detail::pair_run_native(q + s, q + s + dd, dd, up, less);
-      }
-    }
+    detail::tile_stage_native(a.data() + t * tile, tile, tile, up, less);
   });
+}
+
+/// Native path only: the whole bitonic sorting network on a[0..m), m a
+/// power of two of at most tile_elems<T>(), run serially inside one
+/// L1-resident tile as log m batched merge stages. Same comparators and
+/// directions as obl::detail::bitonic_sort_naive (halves ascending then
+/// descending, top merge in `up`), hence the same output bytes.
+template <class T, class Less>
+void sort_tile(const slice<T>& a, bool up, const Less& less) {
+  const size_t m = a.size();
+  assert(!instrumented() && util::is_pow2(m) && m <= tile_elems<T>());
+  for (size_t s = 2; s <= m; s *= 2) {
+    detail::tile_stage_native(a.data(), m, s, up, less);
+  }
 }
 
 /// Batch oswap: for i in [0, count), swap a[i] and b[i] iff mask[i] != 0.

@@ -6,15 +6,24 @@
 // O(n) work, O(log n) span and O(n/B) cache misses with an access pattern
 // that is a fixed function of n (a static binary tree walk).
 //
-// The implementation is the classic two-pass tree scan expressed with
-// binary forks: an upsweep computes subtree folds into a segment tree, the
-// downsweep pushes carries to the leaves. No identity element is required
-// (carries track an explicit "empty" state), so any associative combine
-// works, including the non-commutative segmented operators.
+// Instrumented runs (a sim::Session is installed) execute the classic
+// two-pass tree scan expressed with binary forks: an upsweep computes
+// subtree folds into a segment tree, the downsweep pushes carries to the
+// leaves. That recursion is what the analytic accounting and trace digests
+// describe, so it stays. Native runs use a blocked scan instead (fold each
+// kScanBlock-record block in parallel, carry serially over the block
+// totals, apply the carries in parallel): no 4n tree, and forks per block
+// rather than per element. Both access patterns are fixed functions of n.
+// No identity element is required (the tree tracks an explicit "empty"
+// carry; the blocked scan starts each block from its first record), so any
+// associative combine works, including the non-commutative segmented
+// operators, and both paths compute the same values.
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "forkjoin/api.hpp"
 #include "sim/session.hpp"
@@ -82,6 +91,49 @@ void scan_down_rev(const slice<T>& a, const slice<T>& tree, size_t node,
                           comb); });
 }
 
+/// Native scan block: records folded serially per parallel task.
+inline constexpr size_t kScanBlock = 1024;
+
+/// Native inclusive scan of p[0..n) in three phases: a parallel serial
+/// fold inside each kScanBlock-record block, a serial carry over the
+/// block totals, and a parallel carry-apply. Forward: p[i] = comb(p[0],
+/// ..., p[i]); reverse: p[i] = comb(p[i], ..., p[n-1]). The combine keeps
+/// array order and is associative, so the values equal the tree scan's.
+template <bool Reverse, class T, class Combine>
+void scan_blocked(T* p, size_t n, const Combine& comb) {
+  const size_t nb = (n + kScanBlock - 1) / kScanBlock;
+  const auto lo_of = [](size_t b) { return b * kScanBlock; };
+  const auto hi_of = [n](size_t b) {
+    return std::min(n, (b + 1) * kScanBlock);
+  };
+  std::vector<T> total(nb);
+  fj::for_range(0, nb, 1, [&](size_t b) {
+    const size_t lo = lo_of(b), hi = hi_of(b);
+    if constexpr (Reverse) {
+      for (size_t i = hi - 1; i > lo; --i) p[i - 1] = comb(p[i - 1], p[i]);
+      total[b] = p[lo];
+    } else {
+      for (size_t i = lo + 1; i < hi; ++i) p[i] = comb(p[i - 1], p[i]);
+      total[b] = p[hi - 1];
+    }
+  });
+  if (nb == 1) return;
+  if constexpr (Reverse) {
+    for (size_t b = nb - 1; b-- > 0;) total[b] = comb(total[b], total[b + 1]);
+  } else {
+    for (size_t b = 1; b < nb; ++b) total[b] = comb(total[b - 1], total[b]);
+  }
+  // Forward: block b >= 1 takes total[b-1]; reverse: block b < nb-1 takes
+  // total[b+1].
+  fj::for_range(0, nb - 1, 1, [&](size_t j) {
+    const size_t b = Reverse ? j : j + 1;
+    const T carry = total[Reverse ? b + 1 : b - 1];
+    for (size_t i = lo_of(b); i < hi_of(b); ++i) {
+      p[i] = Reverse ? comb(p[i], carry) : comb(carry, p[i]);
+    }
+  });
+}
+
 inline uint64_t reduce_sum_tree(const slice<uint64_t>& a, size_t lo,
                                 size_t hi) {
   if (hi - lo == 1) return a[lo];
@@ -113,6 +165,10 @@ template <class T, class Combine>
 void scan_inclusive(const slice<T>& a, const Combine& comb) {
   const size_t n = a.size();
   if (n <= 1) return;
+  if (!sim::current_session()) {
+    detail::scan_blocked</*Reverse=*/false>(a.data(), n, comb);
+    return;
+  }
   vec<T> tree(4 * n);
   detail::scan_up(a, tree.s(), 1, 0, n, comb);
   detail::scan_down_fwd(a, tree.s(), 1, 0, n, T{}, false, comb);
@@ -123,6 +179,10 @@ template <class T, class Combine>
 void scan_inclusive_reverse(const slice<T>& a, const Combine& comb) {
   const size_t n = a.size();
   if (n <= 1) return;
+  if (!sim::current_session()) {
+    detail::scan_blocked</*Reverse=*/true>(a.data(), n, comb);
+    return;
+  }
   vec<T> tree(4 * n);
   detail::scan_up(a, tree.s(), 1, 0, n, comb);
   detail::scan_down_rev(a, tree.s(), 1, 0, n, T{}, false, comb);

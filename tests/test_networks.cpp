@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
+#include "core/routed.hpp"
+#include "forkjoin/pool.hpp"
+#include "obl/binitem.hpp"
 #include "obl/bitonic.hpp"
 #include "obl/bitonic_ca.hpp"
 #include "obl/elem.hpp"
@@ -188,6 +192,72 @@ TEST(BitonicCa, SpanGrowsLikeLogSquared) {
   const double r = double(span_of(4096)) / double(span_of(1024));
   EXPECT_LT(r, 2.5);
   EXPECT_GT(r, 1.05);
+}
+
+// Native ≡ instrumented: the native paths (serial in-tile networks, forks
+// only above a tile, run on a 4-thread pool) must write the same bytes as
+// the instrumented naive recursion, ties included. Keys are duplicate-heavy
+// and payloads distinct, so any change of comparator or direction shows.
+Elem dup_rec(Elem, uint64_t key, uint64_t id) {
+  Elem e;
+  e.key = key;
+  e.payload = id;
+  e.aux = ~id;
+  e.extra = static_cast<uint32_t>(id * 7);
+  return e;
+}
+
+obl::BinItem<core::Routed> dup_rec(obl::BinItem<core::Routed>, uint64_t key,
+                                   uint64_t id) {
+  obl::BinItem<core::Routed> it;
+  it.skey = key;
+  it.r.label = id;
+  it.r.e = dup_rec(Elem{}, key ^ id, id);
+  return it;
+}
+
+template <class T, class Less>
+void expect_native_matches_instrumented(const Less& less) {
+  fj::WithPool wp(3);
+  for (size_t n = 2; n <= (size_t{1} << 15); n *= 2) {
+    util::Rng rng(n);
+    std::vector<T> in(n);
+    for (size_t i = 0; i < n; ++i) {
+      in[i] = dup_rec(T{}, rng.below(1 + n / 16), i);
+    }
+    for (const bool ca : {false, true}) {
+      for (const bool up : {true, false}) {
+        auto sort = [&](const slice<T>& a) {
+          if (ca) {
+            obl::bitonic_sort_ca(a, up, less);
+          } else {
+            obl::bitonic_sort(a, up, less);
+          }
+        };
+        vec<T> native(in);
+        wp.run([&] { sort(native.s()); });
+        std::vector<T> expect;
+        {
+          sim::Session s = sim::Session::analytic();
+          sim::ScopedSession guard(s);
+          vec<T> inst(in);
+          sort(inst.s());
+          expect = inst.underlying();
+        }
+        ASSERT_EQ(std::memcmp(native.data(), expect.data(), n * sizeof(T)), 0)
+            << "n=" << n << " ca=" << ca << " up=" << up;
+      }
+    }
+  }
+}
+
+TEST(NativeNetwork, ElemSortsMatchInstrumented) {
+  expect_native_matches_instrumented<Elem>(obl::ByKey{});
+}
+
+TEST(NativeNetwork, BinItemSortsMatchInstrumented) {
+  expect_native_matches_instrumented<obl::BinItem<core::Routed>>(
+      obl::BinBySkey{});
 }
 
 }  // namespace

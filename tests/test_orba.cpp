@@ -60,7 +60,9 @@ TEST(Orba, LargerGammaStillRoutesCorrectly) {
   for (size_t b = 0; b < out.beta; ++b) {
     for (size_t k = 0; k < out.Z; ++k) {
       const Routed& r = out.bins.underlying()[b * out.Z + k];
-      if (!r.e.is_filler()) ASSERT_EQ(r.label, b);
+      if (!r.e.is_filler()) {
+        ASSERT_EQ(r.label, b);
+      }
     }
   }
 }

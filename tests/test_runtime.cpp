@@ -176,6 +176,48 @@ TEST(RuntimeContract, SortRecordsRejectsFillerSentinelKey) {
   EXPECT_EQ(keys, (std::vector<uint64_t>{3, 5, ~uint64_t{0} - 1}));
 }
 
+// Output and per-address arrays must match the address count; a mismatch
+// used to write past the smaller buffer.
+TEST(RuntimeContract, GatherAndScatterRejectSizeMismatch) {
+  auto rt = Runtime::builder().seed(2).build();
+  vec<uint64_t> table(4), addrs(8), out_short(2), ones(8, 1), short2(2);
+  EXPECT_THROW(rt.gather(table.s(), addrs.s(), out_short.s()),
+               std::invalid_argument);
+  EXPECT_THROW(rt.scatter_min(table.s(), addrs.s(), short2.s(), ones.s()),
+               std::invalid_argument);
+  EXPECT_THROW(rt.scatter_min(table.s(), addrs.s(), ones.s(), short2.s()),
+               std::invalid_argument);
+  // Matching sizes run: table[1] = 7 is read at every address 1.
+  table.s()[1] = 7;
+  vec<uint64_t> out(8);
+  for (size_t i = 0; i < 8; ++i) addrs.s()[i] = i % 2;
+  rt.gather(table.s(), addrs.s(), out.s());
+  EXPECT_EQ(out.s()[1], 7u);
+  EXPECT_EQ(out.s()[0], 0u);
+}
+
+TEST(RuntimeContract, SendReceiveRejectsSizeMismatchAndWideKeys) {
+  auto rt = Runtime::builder().seed(2).build();
+  vec<Elem> src(4), dst(8), res_short(2), res(8);
+  EXPECT_THROW(rt.send_receive(src.s(), dst.s(), res_short.s()),
+               std::invalid_argument);
+  constexpr uint64_t kWide = uint64_t{1} << 63;
+  // key << 1 would alias a receiver asking for 2^63 + 5 onto key 5.
+  src.s()[0].key = 5;
+  dst.s()[0].key = kWide + 5;
+  EXPECT_THROW(rt.send_receive(src.s(), dst.s(), res.s()),
+               std::invalid_argument);
+  dst.s()[0].key = 5;
+  src.s()[1].key = kWide + 5;
+  EXPECT_THROW(rt.send_receive(src.s(), dst.s(), res.s()),
+               std::invalid_argument);
+  // A filler source is exempt: it carries the sink key by design.
+  src.s()[1] = Elem::filler();
+  src.s()[0].payload = 42;
+  rt.send_receive(src.s(), dst.s(), res.s());
+  EXPECT_EQ(res.s()[0].payload, 42u);
+}
+
 // Same builder configuration => identical outputs AND identical ORP trace
 // digests, call-for-call; a different master seed changes the permutation.
 TEST(RuntimeDeterminism, SameBuilderReplaysOutputsAndTraceDigest) {

@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 #include <vector>
 
+#include "apps/common.hpp"
+#include "forkjoin/pool.hpp"
 #include "obl/aggregate.hpp"
 #include "obl/compact.hpp"
 #include "obl/propagate.hpp"
 #include "obl/scan.hpp"
+#include "obl/sendrecv.hpp"
 #include "sim/session.hpp"
 #include "testutil.hpp"
 #include "util/rng.hpp"
@@ -73,6 +77,85 @@ TEST(Scan, NonCommutativeCombineKeepsArrayOrder) {
     EXPECT_EQ(v.underlying()[i].first, 0u);
     EXPECT_EQ(v.underlying()[i].last, i);
   }
+}
+
+// Native ≡ instrumented: the native blocked scan (fold per block, carry
+// over block totals, carry-apply) must write the bytes of the instrumented
+// tree scan, across the block boundary and over many blocks, for the
+// commutative, non-commutative and segmented combines.
+template <class T, class Combine, class Gen>
+void expect_scans_match(const Combine& comb, const Gen& gen) {
+  constexpr size_t B = obl::detail::kScanBlock;
+  fj::WithPool wp(3);
+  for (size_t n : {size_t{1}, size_t{2}, B - 1, B, B + 1, 3 * B + 7,
+                   size_t{1} << 16}) {
+    util::Rng rng(n + 11);
+    std::vector<T> in(n);
+    for (size_t i = 0; i < n; ++i) in[i] = gen(rng, i);
+    for (const bool reverse : {false, true}) {
+      auto scan = [&](const slice<T>& a) {
+        if (reverse) {
+          obl::scan_inclusive_reverse(a, comb);
+        } else {
+          obl::scan_inclusive(a, comb);
+        }
+      };
+      vec<T> native(in);
+      wp.run([&] { scan(native.s()); });
+      std::vector<T> expect;
+      {
+        sim::Session s = sim::Session::analytic();
+        sim::ScopedSession guard(s);
+        vec<T> inst(in);
+        scan(inst.s());
+        expect = inst.underlying();
+      }
+      ASSERT_EQ(std::memcmp(native.data(), expect.data(), n * sizeof(T)), 0)
+          << "n=" << n << " reverse=" << reverse;
+    }
+  }
+}
+
+struct Span2 {
+  uint64_t first, last;
+};
+struct Concat {
+  Span2 operator()(const Span2& x, const Span2& y) const {
+    return Span2{x.first, y.last};
+  }
+};
+
+TEST(NativeScan, AddMatchesInstrumentedAndSerial) {
+  expect_scans_match<uint64_t>(
+      AddU64{}, [](util::Rng& r, size_t) { return r.below(1000); });
+  // And the serial fold, across many blocks.
+  const size_t n = 3 * obl::detail::kScanBlock + 7;
+  vec<uint64_t> v(n, 1);
+  fj::WithPool wp(3);
+  wp.run([&] { obl::scan_inclusive(v.s(), AddU64{}); });
+  for (size_t i = 0; i < n; ++i) ASSERT_EQ(v.underlying()[i], i + 1);
+  wp.run([&] { obl::scan_inclusive_reverse(v.s(), AddU64{}); });
+  EXPECT_EQ(v.underlying()[0], n * (n + 1) / 2);
+  EXPECT_EQ(v.underlying()[n - 1], n);
+}
+
+TEST(NativeScan, ConcatMatchesInstrumented) {
+  expect_scans_match<Span2>(
+      Concat{}, [](util::Rng&, size_t i) { return Span2{i, i}; });
+}
+
+TEST(NativeScan, SegmentedCombinesMatchInstrumented) {
+  expect_scans_match<obl::detail::SrSeg>(
+      obl::detail::SrCombine{}, [](util::Rng& r, size_t i) {
+        const uint64_t head = i == 0 || r.below(8) == 0;
+        return obl::detail::SrSeg{r.below(1u << 20), i, head & r.below(2),
+                                  head};
+      });
+  expect_scans_match<apps::detail::MinSeg>(
+      apps::detail::MinCombine{}, [](util::Rng& r, size_t i) {
+        const uint64_t head = i == 0 || r.below(8) == 0;
+        return apps::detail::MinSeg{r.below(64), r.below(3) != 0, head};
+      });
 }
 
 TEST(Scan, PrefixSumExclusiveReturnsTotal) {
