@@ -95,6 +95,7 @@
 #include "sim/session.hpp"
 #include "sim/tracked.hpp"
 #include "util/bits.hpp"
+#include "util/heap.hpp"
 #include "util/rng.hpp"
 
 namespace dopar {
@@ -1044,6 +1045,7 @@ class Runtime {
       : seed_(b.seed_), params_(b.params_), variant_(b.variant_),
         obs_enable_(b.obs_metrics_,
                     b.obs_tracing_ || obs::env_trace_requested()) {
+    util::retain_freed_scratch();
     // Resolve the named backend first: an unknown name must throw before
     // any thread/session resource exists. The backend's internal seed is
     // derived from the master seed, so seed-determinism covers it.

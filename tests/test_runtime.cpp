@@ -11,6 +11,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "dopar.hpp"
 #include "testutil.hpp"
 
@@ -216,6 +218,43 @@ TEST(RuntimeContract, SendReceiveRejectsSizeMismatchAndWideKeys) {
   src.s()[0].payload = 42;
   rt.send_receive(src.s(), dst.s(), res.s());
   EXPECT_EQ(res.s()[0].payload, 42u);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define DOPAR_TEST_FOREIGN_MALLOC 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define DOPAR_TEST_FOREIGN_MALLOC 1
+#endif
+#endif
+
+long minor_faults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_minflt;
+}
+
+// The heap policy (util/heap.hpp) keeps a call's freed scratch mapped, so
+// repeating a sort reuses the pages its first call faulted in. Under
+// glibc's defaults each repeat faulted in thousands of fresh pages.
+TEST(RuntimeHeap, RepeatedSortReusesItsScratchPages) {
+#if !defined(__GLIBC__) || defined(DOPAR_TEST_FOREIGN_MALLOC)
+  GTEST_SKIP() << "the heap policy applies to glibc's malloc only";
+#endif
+  constexpr size_t n = size_t{1} << 16;
+  auto rt = Runtime::builder().seed(5).threads(1).build();
+  const auto in = test::random_elems(n, 41);
+  const auto sort_once = [&] {
+    vec<Elem> v = rt.make_vec(in);
+    rt.sort(v.s());
+    return test::sorted_by_key(v.underlying());
+  };
+  ASSERT_TRUE(sort_once());
+  const long before = minor_faults();
+  EXPECT_TRUE(sort_once());
+  EXPECT_TRUE(sort_once());
+  // 2 x 2^16 32-byte records of input alone would be 1024 pages.
+  EXPECT_LT(minor_faults() - before, 128);
 }
 
 // Same builder configuration => identical outputs AND identical ORP trace
