@@ -5,15 +5,16 @@
 // to the public bound regardless).
 //
 // Section "join" rows are deterministic analytic model counters (work,
-// span, ideal-cache misses) and are gated by the CI snapshot diff. The
-// "*_batched" rows run kBatchSlots TPC-H-shaped requests as one batch
-// through the serving hooks (Runtime::join_batched / group_by_batched):
-// an all-equi batch (the per-slot fast path), a batch alternating equi
-// and band slots (the segmented plan), and a group-by batch; n is the
-// batch's total item rows. Section "join_wall" rows are wall-clock
-// microseconds on a native multi-threaded Runtime (machine-dependent:
-// report-only, listed in scripts/check_bench_snapshots.py
-// WALL_CLOCK_SECTIONS).
+// span, ideal-cache misses) and are gated by the CI snapshot diff. Joins
+// run on recorded comparator networks and read no sorter backend, so
+// their rows carry the Runtime's default backend name; the group-by rows
+// sort on it. The "*_batched" rows run kBatchSlots TPC-H-shaped requests
+// as one batch through the serving hooks (Runtime::join_batched /
+// group_by_batched): an all-equi batch, a batch alternating equi and band
+// slots, and a group-by batch; n is the batch's total item rows. Section
+// "join_wall" rows are wall-clock microseconds on a native multi-threaded
+// Runtime (machine-dependent: report-only, listed in
+// scripts/check_bench_snapshots.py WALL_CLOCK_SECTIONS).
 
 #include <chrono>
 #include <cstdint>
@@ -210,7 +211,6 @@ int main() {
   for (size_t nl : {size_t{256}, size_t{1024}, size_t{4096}}) {
     analytic_equi(nl, "bitonic_ca");
   }
-  analytic_equi(1024, "osort");
   analytic_band(1024, "bitonic_ca");
   for (size_t nl : {size_t{1024}, size_t{4096}}) {
     analytic_group(nl, "bitonic_ca");

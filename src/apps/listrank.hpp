@@ -30,9 +30,9 @@ namespace dopar::apps {
 namespace detail {
 
 /// Engine behind Runtime::list_rank.
-/// rank[i] = sum of weight[j] over the nodes strictly after i on the way
-/// to the tail (so the tail has rank 0 and, with unit weights, rank[i] is
-/// the distance to the tail).
+/// rank[i] = sum of weight[j] over i and the nodes after it, up to but
+/// excluding the tail (so the tail has rank 0 and, with unit weights,
+/// rank[i] is the distance to the tail).
 inline std::vector<uint64_t> list_rank(
     const std::vector<uint64_t>& succ, const std::vector<uint64_t>& weight,
     uint64_t seed, const SorterBackend& sorter = default_backend()) {

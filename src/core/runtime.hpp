@@ -295,11 +295,20 @@ class Runtime {
   }
 
   /// Oblivious random bin assignment (REC-ORBA). |in| must be a power of
-  /// two and at least the bin capacity Z.
+  /// two and at least the bin capacity Z, itself a power of two >= 2
+  /// (std::invalid_argument otherwise).
   core::OrbaOutput bin_assign(const slice<obl::Elem>& in,
                               const SortOptions& opts = {}) {
     core::SortParams p = opts.params.value_or(params_);
     if (p.Z == 0) p = core::SortParams::auto_for(in.size());
+    if (!util::is_pow2(in.size())) {
+      throw std::invalid_argument("bin_assign: |in| must be a power of two");
+    }
+    if (p.Z < 2 || !util::is_pow2(p.Z) || in.size() < p.Z) {
+      throw std::invalid_argument(
+          "bin_assign: the bin capacity Z must be a power of two >= 2 and "
+          "at most |in|");
+    }
     const auto sorter = resolve(opts);
     const uint64_t s = fresh_seed();
     obs::Span span("rt.bin_assign", "n", in.size());
@@ -542,13 +551,14 @@ class Runtime {
   /// the slot's solo equi_join/band_join frame. Returns per-slot true
   /// match counts. Keys must be <= rel::max_key(slots.size()): below
   /// rel::kKeyLimit for one slot, <= rel::kMaxBatchKey (2^48 - 1) for more.
+  /// Joins sort only with recorded comparator networks, so no backend is
+  /// taken.
   std::vector<uint64_t> join_batched(const std::vector<uint64_t>& left_keys,
                                      const std::vector<uint64_t>& right_keys,
                                      const std::vector<rel::JoinSlot>& slots,
-                                     std::vector<obl::Elem>& frame,
-                                     const SortOptions& opts = {}) {
+                                     std::vector<obl::Elem>& frame) {
     return run_join("rt.join_batched", "join_batched", left_keys,
-                    right_keys, slots, frame, opts);
+                    right_keys, slots, frame);
   }
 
   /// Batched counterpart of group_by_aggregate: one shared plan over the
@@ -569,9 +579,12 @@ class Runtime {
 
   // ---- Section 5 applications -----------------------------------------
 
-  /// Oblivious list ranking: distance (weighted) to the list tail.
+  /// Oblivious list ranking: distance (weighted) to the list tail. Every
+  /// successor must be < |succ| (the tail points to itself), and a weight
+  /// array must have one entry per node (std::invalid_argument otherwise).
   std::vector<uint64_t> list_rank(const std::vector<uint64_t>& succ,
                                   const SortOptions& opts = {}) {
+    check_list("list_rank", succ);
     const auto sorter = resolve(opts);
     const uint64_t s = fresh_seed();
     obs::Span span("rt.list_rank", "n", succ.size());
@@ -582,6 +595,11 @@ class Runtime {
   std::vector<uint64_t> list_rank(const std::vector<uint64_t>& succ,
                                   const std::vector<uint64_t>& weight,
                                   const SortOptions& opts = {}) {
+    check_list("list_rank", succ);
+    if (weight.size() != succ.size()) {
+      throw std::invalid_argument(
+          "list_rank: weight must have one entry per node");
+    }
     const auto sorter = resolve(opts);
     const uint64_t s = fresh_seed();
     obs::Span span("rt.list_rank", "n", succ.size());
@@ -839,7 +857,7 @@ class Runtime {
     rel::JoinResult<RecL, RecR> res;
     res.matched = run_join(banded ? "rt.band_join" : "rt.equi_join", "join",
                            lk, rk, {rel::JoinSlot{nl, nr, bound, banded, band}},
-                           frame, opts.sort)[0];
+                           frame)[0];
     res.rows.reserve(std::min<uint64_t>(res.matched, bound));
     for (const obl::Elem& e : frame) {
       if (e.flags & obl::Elem::kFiller) continue;
@@ -866,6 +884,17 @@ class Runtime {
       if (weighted && e.w >= kMaxW) {
         throw std::invalid_argument(std::string(what) +
                                     ": edge weights must be < 2^31");
+      }
+    }
+  }
+
+  /// Throws unless every successor indexes a node of the list.
+  static void check_list(const char* what,
+                         const std::vector<uint64_t>& succ) {
+    for (uint64_t v : succ) {
+      if (v >= succ.size()) {
+        throw std::invalid_argument(std::string(what) +
+                                    ": successor out of range (>= n)");
       }
     }
   }
@@ -932,9 +961,8 @@ class Runtime {
                                  const std::vector<uint64_t>& left_keys,
                                  const std::vector<uint64_t>& right_keys,
                                  const std::vector<rel::JoinSlot>& slots,
-                                 std::vector<obl::Elem>& frame,
-                                 const SortOptions& opts) {
-    constexpr uint64_t kMaxRows = uint64_t{1} << 32;  // send-receive cap
+                                 std::vector<obl::Elem>& frame) {
+    constexpr uint64_t kMaxRows = uint64_t{1} << 32;
     const size_t S = slots.size();
     if (S == 0 || S > rel::kMaxRelBatchSlots) {
       throw std::invalid_argument(std::string(what) + ": bad slot count");
@@ -957,7 +985,6 @@ class Runtime {
     }
     check_rel_keys(what, left_keys, S);
     check_rel_keys(what, right_keys, S);
-    const auto sorter = resolve(opts);
     obs::Span span(span_name, "rows", nl_total + nr_total, "bound",
                    bound_total);
     // Slot-local row ids, precomputed host-side (public shapes).
@@ -985,8 +1012,7 @@ class Runtime {
                                     e.key = right_keys[i];
                                     e.payload = rloc[i];
                                   });
-      matched = rel::detail::join_engine(lv.s(), rv.s(), slots, outv.s(),
-                                         *sorter);
+      matched = rel::detail::join_engine(lv.s(), rv.s(), slots, outv.s());
       // Fixed-pattern full readout.
       std::copy_n(outv.s().data(), bound_total, frame.data());
     });

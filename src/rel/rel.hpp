@@ -11,9 +11,10 @@
 //   * band join      — L ⋈ R on |l.key - r.key| <= band,
 //   * group-by       — per-key Sum / Count / Min / Max aggregation,
 //
-// all as compositions of the existing engines, so every registered sorter
-// backend, scheduler policy and the SIMD kernel layer apply automatically.
-// The public entry points are the Runtime methods (core/runtime.hpp):
+// all as compositions of the existing engines, so the scheduler policies
+// and the SIMD kernel layer apply automatically (group-by also runs on
+// every registered sorter backend). The public entry points are the
+// Runtime methods (core/runtime.hpp):
 //
 //   auto res = rt.equi_join(std::span(orders), key_of_order,
 //                           std::span(items), key_of_item,
@@ -21,23 +22,28 @@
 //   for (auto& [o, it] : res.rows) ...
 //
 // Every operator has ONE engine, which runs a batch of independent
-// requests ("slots") as one shared plan; a solo Runtime call is the
-// one-slot batch, so solo and coalesced runs agree by construction.
+// requests ("slots"); a solo Runtime call is the one-slot batch, so solo
+// and coalesced runs agree by construction.
 //
-// Join recipe (the equi-join is the band = 0 specialization of the same
-// plan; equi and band slots share one batch):
-//   1. MULTIPLICITY: sort the union of both tables by (key, side); one
-//      segmented suffix aggregation (equi) or two rank queries per left
-//      row (band) yield, for every left row, the count of matching right
-//      rows and the rank of its first match in key-sorted right order.
-//   2. DISTRIBUTE-EXPAND: prefix sums turn counts into output offsets;
-//      left rows are distributed into the padded output frame with one
-//      oblivious sort, the gaps are filled by oblivious propagation, and
-//      oblivious compaction drops the distribution scaffolding. Every
-//      output slot now holds its left row and the rank of the right row
-//      it must pair with.
-//   3. ALIGN-CONCAT: one oblivious send-receive routes the rank-keyed
-//      right rows to the slots that request them.
+// Join recipe (the equi-join is the band = 0 case of the same plan; equi
+// and band slots share one batch). Each slot runs it on its own tables,
+// concurrently across slots, sorting only with recorded bitonic networks
+// (obl/route.hpp), so joins never read the Runtime's sorter backend:
+//   1. MULTIPLICITY: rank the right table by (key, input index); every
+//      left row issues a lo-query (key - band) and a hi-query (key +
+//      band). One recorded sort of the queries and one recorded bitonic
+//      merge with the ranked right table interleave them; the right rows
+//      merged ahead of a query are its rank, and replaying the tapes
+//      backwards returns the queries to input order. count = r_hi - r_lo
+//      matching right rows, the first at rank r_lo.
+//   2. DISTRIBUTE-EXPAND: an exclusive scan turns counts into output
+//      offsets; each left row with matches is routed to its first output
+//      slot by tight compaction plus monotone distribution, and a scan
+//      spreads it over its run. Every output slot now holds its left row
+//      and the rank of the right row it must pair with.
+//   3. ALIGN-CONCAT: the requests record-sort by rank, one recorded merge
+//      places each after its rank's right row, a scan copies the right
+//      row's id over, and tape replays restore output order.
 //
 // Group-by recipe: sort by key, fold group sizes and values with
 // segmented suffix aggregations, flag group heads and compact them to the
@@ -46,20 +52,20 @@
 // Obliviousness contract: for fixed table sizes and a fixed public output
 // bound, the sequence of scratch-array sizes, sorts, scans and routing
 // steps — and hence the comparator/access schedule — does not depend on
-// table contents. With a comparator-network backend the schedule is a
-// fixed function of the sizes (trace digests are bit-identical across
-// differing contents of the same shape); with the randomized full-sort
-// backends ("osort", "spms") the schedule additionally depends on their
-// per-call seeds and is oblivious in distribution (paper §C.4), replaying
-// bit-for-bit under the per-call seed-stream contract. The *returned*
-// (declassified) rows reveal the true match count — the same reveal the
-// paper proves safe for ORP's final compaction; everything computed inside
-// the measured pipeline is padded to the public bound.
+// table contents. A join's schedule is always a fixed function of the
+// sizes (trace digests are bit-identical across differing contents of
+// the same shape), and so is a group-by's on a comparator-network
+// backend; on the randomized full-sort backends ("osort", "spms") a
+// group-by's schedule additionally depends on their per-call seeds and is
+// oblivious in distribution (paper §C.4), replaying bit-for-bit under the
+// per-call seed-stream contract. The *returned* (declassified) rows
+// reveal the true match count — the same reveal the paper proves safe for
+// ORP's final compaction; everything computed inside the measured
+// pipeline is padded to the public bound.
 //
 // Size contract: keys <= max_key(S) for an S-slot call — below 2^62 with
 // one slot (every solo Runtime call), <= 2^48 - 1 with two or more;
-// per-table row count and the output bound < 2^32 (the send-receive
-// receiver bound).
+// per-table row count and the output bound < 2^32.
 
 #include <cstdint>
 #include <utility>
@@ -80,16 +86,18 @@ inline constexpr uint64_t kNoRow = ~uint64_t{0};
 
 // ---- batches of slots ---------------------------------------------------
 //
-// Each request in a batch is a *slot*; its keys are tagged with the slot
-// id in the top bits of every shared sort key ((slot << kBatchKeyBits) |
-// key), and every pass runs once over the concatenated tables. Because
-// slots occupy disjoint composite-key ranges, the per-slot order inside
-// every shared sort equals the one-slot order, so each slot's output is
-// bit-identical to a one-slot run of the same request. The shared
-// output frame's public bound is the SUM of the per-slot bounds, split
-// back per slot at public offsets. The schedule is a pure function of the
-// slot shape vector. With one slot the tag is zero, so keys may use the
-// full kKeyLimit range.
+// Each request in a batch is a *slot*. A group-by batch tags every key
+// with the slot id in the top bits of each shared sort key ((slot <<
+// kBatchKeyBits) | key), and every pass runs once over the concatenated
+// rows. Because slots occupy disjoint composite-key ranges, the per-slot
+// order inside every shared sort equals the one-slot order. A join batch
+// runs each slot's plan on the slot's own tables. Either way each slot's
+// output is bit-identical to a one-slot run of the same request, the
+// shared output frame's public bound is the SUM of the per-slot bounds,
+// split back per slot at public offsets, and the schedule is a pure
+// function of the slot shape vector. Both kinds share one key ceiling
+// (max_key) so the serving layer coalesces them under one rule. With one
+// slot the tag is zero, so keys may use the full kKeyLimit range.
 
 /// Bits of a batched composite key carrying the row's own key; the slot id
 /// rides above them. Mirrors the serving layer's sort-coalescing layout.
@@ -133,8 +141,9 @@ struct JoinOptions {
   /// truncated to this many pairs if more match. 0 means |L|·|R| — the
   /// trivially safe bound, at the cost of an output frame that large.
   size_t output_bound = 0;
-  /// Backend / variant / params for every internal sort (same semantics
-  /// as on any other sorter-parametric Runtime method).
+  /// Ignored: joins sort only with recorded comparator networks and never
+  /// read a sorter backend. Kept so existing designated initializers
+  /// still compile.
   SortOptions sort{};
 };
 
@@ -187,17 +196,13 @@ namespace detail {
 /// sum(slots[s].bound); slot s's share receives its aligned pairs in
 /// output order: .payload = left row id, .aux = right row id, .key = the
 /// slot-local output position, padding flagged kFiller. Returns the
-/// per-slot true match counts. Per-slot bound < 2^33.
-///
-/// A batch of two or more slots that are all equi takes a per-slot fast
-/// path (recorded comparator networks and monotone routing in place of
-/// the frame-scale sorts) with the same output. Every other call,
-/// including every one-slot call, runs the segmented plan on `sorter`.
+/// per-slot true match counts. Per-slot bound < 2^33. Every slot runs the
+/// one recorded-network plan of the join recipe above, concurrently
+/// across slots; no sorter backend is involved.
 std::vector<uint64_t> join_engine(const slice<obl::Elem>& left,
                                   const slice<obl::Elem>& right,
                                   const std::vector<JoinSlot>& slots,
-                                  const slice<obl::Elem>& out,
-                                  const SorterBackend& sorter);
+                                  const slice<obl::Elem>& out);
 
 /// Group-by engine: `in` rows carry the key in .key and the value in
 /// .payload. `out` has size sum(slots[s].bound); slot s's share holds its

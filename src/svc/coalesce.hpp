@@ -9,12 +9,12 @@
 // for request keys below 2^48 — requests with larger keys (or too many
 // rows) are dispatched solo on the canonical pipeline instead.
 //
-// The join / group-by request kinds coalesce by the same slot-tagging
-// idea, but their composite keys live in the RELATIONAL key space
-// (< rel::kKeyLimit = 2^62, leaving 14 slot bits over 48 key bits — see
-// rel::kMaxRelBatchSlots) and the shared plan is a full batched join /
-// grouping pipeline rather than one sort (rel/rel.hpp, "coalesced
-// operator plans"). The key-size coalescibility rule is shared: a request
+// The group-by request kind coalesces by the same slot-tagging idea, but
+// its composite keys live in the RELATIONAL key space (< rel::kKeyLimit =
+// 2^62, leaving 14 slot bits over 48 key bits — see
+// rel::kMaxRelBatchSlots) and the shared plan is a full grouping pipeline
+// rather than one sort; a join batch runs one plan per slot (rel/rel.hpp,
+// "batches of slots"). The key-size coalescibility rule is shared: a request
 // rides a batch iff every key fits in kTenantKeyBits (== rel::
 // kBatchKeyBits) bits; relational results need no tie normalization —
 // their output contract fixes a total row order.

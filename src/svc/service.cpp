@@ -14,7 +14,7 @@ size_t hist_bucket(size_t m) {
   return b;
 }
 
-constexpr size_t kMaxRelRows = size_t{1} << 32;  // send-receive cap
+constexpr size_t kMaxRelRows = size_t{1} << 32;  // rel size contract
 
 void check_rel_keys(const std::vector<uint64_t>& keys) {
   for (uint64_t k : keys) {
@@ -714,9 +714,9 @@ void Service::run_join(Batch& b) {
   // One join plan serves the whole batch: slot-concatenated key tables
   // through Runtime::join_batched, the summed-bound output frame split
   // back per slot at public offsets. A lone request is the one-slot batch
-  // — exactly the plan a direct Runtime::equi_join/band_join runs, on the
-  // Runtime's own backend — so every JoinResult is byte-identical to a
-  // lone Runtime call either way.
+  // — exactly the plan a direct Runtime::equi_join/band_join runs — so
+  // every JoinResult is byte-identical to a lone Runtime call either way.
+  // Joins read no sorter backend, so batch_backend does not apply.
   std::vector<rel::JoinSlot> slots;
   slots.reserve(b.reqs.size());
   size_t nl = 0, nr = 0;
@@ -735,7 +735,7 @@ void Service::run_join(Batch& b) {
   }
   std::vector<obl::Elem> frame;
   const std::vector<uint64_t> matched =
-      rt_.join_batched(lkeys, rkeys, slots, frame, batch_options(b));
+      rt_.join_batched(lkeys, rkeys, slots, frame);
   size_t off = 0;
   for (size_t s = 0; s < b.reqs.size(); ++s) {
     PendingReq& r = b.reqs[s];

@@ -17,8 +17,8 @@
 //                     network sorter layer (Runtime::backend_sort);
 //       * join      — equi_join()/band_join() requests share one run of
 //                     the join engine (rel::detail::join_engine, via
-//                     Runtime::join_batched), one slot per request:
-//                     slot-tagged composite keys ride its shared sorts,
+//                     Runtime::join_batched), one slot per request: each
+//                     slot runs the recorded-network plan concurrently,
 //                     and ONE output frame — its public bound the SUM of
 //                     the per-request output bounds — is split back per
 //                     slot. Equi and band requests coalesce freely
@@ -117,9 +117,10 @@ struct Options {
   uint64_t seed = 0x5e4c'5eedULL;
   GovernorConfig governor{};
   /// Sorter backend for coalesced batches — the composite sort and every
-  /// internal sort of the batched join/group-by plans ("" = the Runtime's
-  /// configured backend). Must name a registered backend; comparator
-  /// networks are the intended choices. Results never depend on it.
+  /// internal sort of the batched group-by plan ("" = the Runtime's
+  /// configured backend; joins read no backend). Must name a registered
+  /// backend; comparator networks are the intended choices. Results never
+  /// depend on it.
   std::string batch_backend{};
   /// Hold the obs metrics gate open for the Service's lifetime, so the
   /// per-kind latency / window-wait / occupancy histograms (and the
@@ -359,7 +360,7 @@ class Service {
   void run_solo(Batch& b);
   void run_join(Batch& b);
   void run_group(Batch& b);
-  /// Sort options of a batch's relational plan: batch_backend when
+  /// Sort options of a group-by batch's plan: batch_backend when
   /// coalesced, the Runtime's backend for a lone request.
   SortOptions batch_options(const Batch& b) const;
   void complete(Batch& b, PendingReq& r, std::vector<uint64_t> keys,

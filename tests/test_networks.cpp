@@ -1,5 +1,6 @@
 // Unit + property tests: sorting networks (bitonic naive, bitonic
-// cache-agnostic, odd-even merge) and their obliviousness.
+// cache-agnostic, odd-even merge) and their obliviousness, plus the
+// recorded networks and monotone compaction of obl/route.hpp.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "obl/elem.hpp"
 #include "obl/oddeven.hpp"
 #include "obl/oswap.hpp"
+#include "obl/route.hpp"
 #include "sim/session.hpp"
 #include "testutil.hpp"
 
@@ -258,6 +260,190 @@ TEST(NativeNetwork, ElemSortsMatchInstrumented) {
 TEST(NativeNetwork, BinItemSortsMatchInstrumented) {
   expect_native_matches_instrumented<obl::BinItem<core::Routed>>(
       obl::BinBySkey{});
+}
+
+// ---- recorded networks and monotone compaction (obl/route.hpp) ---------
+
+enum class Recorded { Sort, Merge };
+
+/// Duplicate-heavy records with distinct payloads; a merge input is made
+/// bitonic (ascending half, then descending half) by key.
+std::vector<Elem> recorded_input(Recorded which, size_t n) {
+  util::Rng rng(n + 77);
+  std::vector<Elem> in(n);
+  for (size_t i = 0; i < n; ++i) {
+    in[i] = dup_rec(Elem{}, rng.below(1 + n / 16), i);
+  }
+  if (which == Recorded::Merge) {
+    const auto by_key = [](const Elem& a, const Elem& b) {
+      return a.key < b.key;
+    };
+    std::sort(in.begin(), in.begin() + n / 2, by_key);
+    std::sort(in.begin() + n / 2, in.end(),
+              [&](const Elem& a, const Elem& b) { return by_key(b, a); });
+  }
+  return in;
+}
+
+void record(Recorded which, const slice<Elem>& a,
+            std::vector<uint8_t>& tape) {
+  if (which == Recorded::Sort) {
+    obl::bitonic_sort_record(a, tape, obl::ByKey{});
+  } else {
+    obl::bitonic_merge_record(a, tape, obl::ByKey{});
+  }
+}
+
+void unreplay(Recorded which, const slice<Elem>& a,
+              const std::vector<uint8_t>& tape) {
+  if (which == Recorded::Sort) {
+    obl::bitonic_sort_unreplay(a, tape);
+  } else {
+    obl::bitonic_merge_unreplay(a, tape);
+  }
+}
+
+TEST(RecordedNetwork, NativeMatchesInstrumented) {
+  // The native runner forks rounds and runs in-tile rounds tile by tile on
+  // a 4-thread pool; the instrumented runner forks 8-pair leaves. Both
+  // must write the same tape and the same bytes, ties included.
+  fj::WithPool wp(3);
+  for (const Recorded which : {Recorded::Sort, Recorded::Merge}) {
+    for (size_t n = 2; n <= (size_t{1} << 15); n *= 2) {
+      const std::vector<Elem> in = recorded_input(which, n);
+      vec<Elem> native(in);
+      std::vector<uint8_t> native_tape;
+      wp.run([&] { record(which, native.s(), native_tape); });
+      EXPECT_TRUE(test::sorted_by_key(native.underlying())) << n;
+      std::vector<Elem> expect;
+      std::vector<uint8_t> expect_tape;
+      {
+        sim::Session s = sim::Session::analytic();
+        sim::ScopedSession guard(s);
+        vec<Elem> inst(in);
+        record(which, inst.s(), expect_tape);
+        expect = inst.underlying();
+      }
+      ASSERT_EQ(native_tape.size(), expect_tape.size()) << n;
+      ASSERT_EQ(std::memcmp(native_tape.data(), expect_tape.data(),
+                            expect_tape.size()),
+                0)
+          << "tape, n=" << n << " merge=" << (which == Recorded::Merge);
+      ASSERT_EQ(std::memcmp(native.data(), expect.data(), n * sizeof(Elem)),
+                0)
+          << "bytes, n=" << n << " merge=" << (which == Recorded::Merge);
+    }
+  }
+}
+
+TEST(RecordedNetwork, UnreplayRestoresInput) {
+  fj::WithPool wp(3);
+  for (const Recorded which : {Recorded::Sort, Recorded::Merge}) {
+    for (const size_t n : {size_t{2}, size_t{16}, size_t{1024},
+                           size_t{1} << 13}) {
+      const std::vector<Elem> in = recorded_input(which, n);
+      for (const bool instrumented : {false, true}) {
+        vec<Elem> v(in);
+        std::vector<uint8_t> tape;
+        auto run = [&] {
+          record(which, v.s(), tape);
+          unreplay(which, v.s(), tape);
+        };
+        if (instrumented) {
+          sim::Session s = sim::Session::analytic();
+          sim::ScopedSession guard(s);
+          run();
+        } else {
+          wp.run(run);
+        }
+        ASSERT_EQ(std::memcmp(v.data(), in.data(), n * sizeof(Elem)), 0)
+            << "n=" << n << " merge=" << (which == Recorded::Merge)
+            << " instrumented=" << instrumented;
+      }
+    }
+  }
+}
+
+TEST(RecordedNetwork, SpanIsPolylog) {
+  // Rounds fork into constant-size leaves, so a round costs O(log m) span
+  // and the sort O(log^3 m): span(4m)/span(m) stays far below the ~5.5 of
+  // a runner that walks every pair of a round on one thread.
+  auto span_of = [](Recorded which, size_t n) {
+    const std::vector<Elem> in = recorded_input(which, n);
+    sim::Session s = sim::Session::analytic();
+    sim::ScopedSession guard(s);
+    vec<Elem> v(in);
+    std::vector<uint8_t> tape;
+    record(which, v.s(), tape);
+    unreplay(which, v.s(), tape);
+    return s.cost().span;
+  };
+  for (const Recorded which : {Recorded::Sort, Recorded::Merge}) {
+    const double r = double(span_of(which, size_t{1} << 13)) /
+                     double(span_of(which, size_t{1} << 11));
+    EXPECT_LT(r, 2.0) << "merge=" << (which == Recorded::Merge);
+    EXPECT_GT(r, 1.0) << "merge=" << (which == Recorded::Merge);
+  }
+}
+
+/// Every third record (and a dense run in the middle) is live.
+std::vector<Elem> compact_input(size_t n) {
+  std::vector<Elem> in(n);
+  for (size_t i = 0; i < n; ++i) {
+    in[i] = dup_rec(Elem{}, i, i);
+    const bool live = i % 3 == 0 || (i > n / 3 && i < n / 2);
+    in[i].flags = live ? Elem::kTemp : 0;
+  }
+  return in;
+}
+
+TEST(CompactMonotone, StableAndNativeMatchesInstrumented) {
+  fj::WithPool wp(3);
+  for (size_t n = 2; n <= (size_t{1} << 13); n *= 2) {
+    const std::vector<Elem> in = compact_input(n);
+    std::vector<Elem> want;
+    for (const Elem& e : in) {
+      if (e.flags & Elem::kTemp) want.push_back(e);
+    }
+    vec<Elem> native(in);
+    wp.run([&] { obl::compact_monotone(native.s(), Elem::kTemp); });
+    std::vector<Elem> inst;
+    {
+      sim::Session s = sim::Session::analytic();
+      sim::ScopedSession guard(s);
+      vec<Elem> v(in);
+      obl::compact_monotone(v.s(), Elem::kTemp);
+      inst = v.underlying();
+    }
+    ASSERT_EQ(std::memcmp(native.data(), inst.data(), n * sizeof(Elem)), 0)
+        << n;
+    for (size_t i = 0; i < n; ++i) {
+      const Elem& e = native.underlying()[i];
+      if (i < want.size()) {
+        ASSERT_EQ(std::memcmp(&e, &want[i], sizeof(Elem)), 0)
+            << "n=" << n << " i=" << i;
+      } else {
+        ASSERT_EQ(e.flags & Elem::kTemp, 0u) << "n=" << n << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(CompactMonotone, SpanIsPolylog) {
+  // log m double-buffered rounds of O(log m) span each: span(4m)/span(m)
+  // stays far below the ~5.5 of shift chains walked on one thread.
+  auto span_of = [](size_t n) {
+    const std::vector<Elem> in = compact_input(n);
+    sim::Session s = sim::Session::analytic();
+    sim::ScopedSession guard(s);
+    vec<Elem> v(in);
+    obl::compact_monotone(v.s(), Elem::kTemp);
+    return s.cost().span;
+  };
+  const double r =
+      double(span_of(size_t{1} << 13)) / double(span_of(size_t{1} << 11));
+  EXPECT_LT(r, 2.0);
+  EXPECT_GT(r, 1.0);
 }
 
 }  // namespace

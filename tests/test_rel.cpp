@@ -501,6 +501,64 @@ TEST(RelOblivious, DigestReplaysOnEveryBackend) {
   }
 }
 
+/// Keys for the batched battery: 0 = uniform, 1 = all equal, 2 = skewed
+/// (quadratic, most rows on a few keys).
+std::vector<uint64_t> shaped_keys(int shape, size_t n, uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<uint64_t> k(n);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t r = rng.below(32);
+    k[i] = shape == 0 ? r : shape == 1 ? 5 : r * r / 32;
+  }
+  return k;
+}
+
+/// A fixed-shape mixed equi + band join batch and a 4-slot group-by batch
+/// on one traced, costed Runtime; only the contents follow `shape`.
+RunCost batched_battery(const std::string& backend, int shape) {
+  auto rt = Runtime::builder().seed(23).cache(1 << 14, 64).trace()
+                .backend(backend).build();
+  const std::vector<rel::JoinSlot> jslots = {{24, 40, 96, false, 0},
+                                             {32, 24, 128, true, 3},
+                                             {16, 48, 20, false, 0}};
+  std::vector<uint64_t> lk, rk;
+  for (size_t s = 0; s < jslots.size(); ++s) {
+    for (uint64_t k : shaped_keys(shape, jslots[s].nl, 100 + s)) {
+      lk.push_back(k);
+    }
+    for (uint64_t k : shaped_keys(shape, jslots[s].nr, 200 + s)) {
+      rk.push_back(k);
+    }
+  }
+  std::vector<obl::Elem> frame;
+  (void)rt.join_batched(lk, rk, jslots, frame);
+  const std::vector<rel::GroupSlot> gslots = {{40, 8}, {24, 24}, {56, 4},
+                                              {32, 16}};
+  std::vector<uint64_t> gk, gv;
+  for (size_t s = 0; s < gslots.size(); ++s) {
+    for (uint64_t k : shaped_keys(shape, gslots[s].n, 300 + s)) {
+      gk.push_back(k);
+      gv.push_back(k * 7 + s);
+    }
+  }
+  (void)rt.group_by_batched(gk, gv, gslots, rel::Agg::Sum, frame);
+  return cost_of(rt);
+}
+
+TEST(RelOblivious, BatchedScheduleIndependentOfContents) {
+  // The coalesced hooks keep the solo contract: on a comparator-network
+  // backend a batch's schedule, cost and address trace are a pure
+  // function of the slot shape vector.
+  for (const std::string& name : backend_names()) {
+    if (name == "osort" || name == "spms") continue;  // randomized full sorts
+    SCOPED_TRACE("backend=" + name);
+    const RunCost uniform = batched_battery(name, 0);
+    EXPECT_NE(uniform.digest, 0u);
+    EXPECT_EQ(batched_battery(name, 1), uniform);
+    EXPECT_EQ(batched_battery(name, 2), uniform);
+  }
+}
+
 // ---- compact / propagate facade ----------------------------------------
 
 TEST(RelFacade, CompactStableAnySize) {

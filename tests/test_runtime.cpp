@@ -198,6 +198,31 @@ TEST(RuntimeContract, GatherAndScatterRejectSizeMismatch) {
   EXPECT_EQ(out.s()[0], 0u);
 }
 
+TEST(RuntimeContract, ListRankRejectsBadSuccessorsAndWeights) {
+  auto rt = Runtime::builder().seed(2).build();
+  // 0 -> 1 -> 2 (tail); a successor of 3 would index past the list.
+  EXPECT_THROW(rt.list_rank({1, 3, 2}), std::invalid_argument);
+  EXPECT_THROW(rt.list_rank({1, 2, 2}, {1, 1}), std::invalid_argument);
+  EXPECT_THROW(rt.list_rank({1, 2, ~uint64_t{0}}, {1, 1, 1}),
+               std::invalid_argument);
+  EXPECT_EQ(rt.list_rank({1, 2, 2}), (std::vector<uint64_t>{2, 1, 0}));
+  EXPECT_EQ(rt.list_rank({1, 2, 2}, {5, 7, 9}),
+            (std::vector<uint64_t>{12, 7, 0}));
+}
+
+TEST(RuntimeContract, BinAssignRejectsOffPow2AndUndersizedInputs) {
+  auto rt = Runtime::builder().seed(2).build();
+  auto odd = rt.make_vec<Elem>(test::random_elems(96, 3));
+  EXPECT_THROW((void)rt.bin_assign(odd.s()), std::invalid_argument);
+  auto small = rt.make_vec<Elem>(test::random_elems(32, 3));
+  SortOptions wide;
+  wide.params = core::SortParams::auto_for(256);  // Z above |in|
+  ASSERT_GT(wide.params->Z, 32u);
+  EXPECT_THROW((void)rt.bin_assign(small.s(), wide), std::invalid_argument);
+  const core::OrbaOutput out = rt.bin_assign(small.s());
+  EXPECT_EQ(out.beta * out.Z, 2 * small.size());
+}
+
 TEST(RuntimeContract, SendReceiveRejectsSizeMismatchAndWideKeys) {
   auto rt = Runtime::builder().seed(2).build();
   vec<Elem> src(4), dst(8), res_short(2), res(8);
