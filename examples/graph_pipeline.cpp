@@ -9,9 +9,9 @@
 // not which vertices are connected: every round is fixed-pattern
 // oblivious gathers/scatters.
 //
-// Also demonstrates per-call backend selection: the CC pipeline runs on
-// the default cache-agnostic bitonic backend, the MSF pipeline on the
-// Batcher odd-even network — one SortOptions argument, same results.
+// The graph apps read no sorter backend: their gathers and scatters sort
+// only 16-byte request records with the cache-agnostic bitonic network
+// and merge them with the vertex tables through recorded bitonic merges.
 
 #include <cstdio>
 #include <set>
@@ -72,7 +72,7 @@ int main() {
     return rt.connected_components(n, social);
   });
   Future<uint64_t> msf_fut = rt.submit([&]() -> uint64_t {
-    auto flags = rt.msf(nm, mesh, SortOptions{.backend = "odd_even"});
+    auto flags = rt.msf(nm, mesh);
     uint64_t total = 0;
     for (size_t e = 0; e < mesh.size(); ++e) {
       if (flags[e]) total += mesh[e].w;
@@ -89,7 +89,7 @@ int main() {
   std::printf("matches serial union-find oracle: %s\n",
               labels == cc_oracle ? "yes" : "NO");
 
-  std::printf("MSF (oblivious, async, odd_even backend): weight %llu\n",
+  std::printf("MSF (oblivious, async): weight %llu\n",
               (unsigned long long)msf_total);
   const uint64_t want = insecure::msf_weight_oracle(nm, mesh);
   std::printf("matches Kruskal oracle weight %llu: %s\n",

@@ -3,10 +3,11 @@
 //
 // Shiloach–Vishkin-style hooking + pointer doubling, executed as a fixed
 // number of batch-oblivious rounds (O(log n)). Every round performs one
-// gather of both endpoint labels (one send-receive over n + 2m records),
-// one scatter_min of m hook proposals into the n labels, and two jumps
-// (gathers over n + n) — exactly the per-step cost of the space-bounded
-// PRAM simulation the paper invokes.
+// gather of both endpoint labels (one merge of the 2m endpoint requests,
+// sorted once before the first round, with the n labels), one
+// scatter_min of m hook proposals into the n labels, and two jumps
+// (gathers of n requests from n labels) — exactly the per-step cost of
+// the space-bounded PRAM simulation the paper invokes.
 // Work O(m log n * sort-overhead), span Õ(log^2 n), and the round count is
 // a fixed function of n, so the whole access pattern is data-independent.
 
@@ -33,8 +34,7 @@ namespace detail {
 /// Requires every endpoint < n; Runtime::connected_components throws
 /// std::invalid_argument otherwise.
 inline std::vector<uint64_t> connected_components(
-    size_t n, const std::vector<GEdge>& edges,
-    const SorterBackend& sorter = default_backend()) {
+    size_t n, const std::vector<GEdge>& edges) {
   const size_t m = edges.size();
   vec<uint64_t> Pv(n);
   const slice<uint64_t> P = Pv.s();
@@ -46,7 +46,8 @@ inline std::vector<uint64_t> connected_components(
   }
 
   // Both endpoints of every edge live in one 2m address array (u-half,
-  // then v-half), so each round reads their labels with one gather.
+  // then v-half), so each round reads their labels with one gather, and
+  // its requests are sorted once for every round.
   vec<uint64_t> auv(2 * m), puv(2 * m), tgt(m), val(m), live(m);
   const slice<uint64_t> AUV = auv.s(), PUV = puv.s();
   const slice<uint64_t> PU = PUV.sub(0, m), PV = PUV.sub(m, m);
@@ -55,20 +56,18 @@ inline std::vector<uint64_t> connected_components(
     AUV[e] = edges[e].u;
     AUV[m + e] = edges[e].v;
   });
+  const AddrPlan endpoints(AUV);
 
-  vec<uint64_t> ja(n), jg(n);
-  const slice<uint64_t> JA = ja.s(), JG = jg.s();
+  vec<uint64_t> jg(n);
+  const slice<uint64_t> JG = jg.s();
   auto jump = [&] {
-    fj::for_range(0, n, fj::kDefaultGrain,
-                  [&](size_t i) { JA[i] = P[i]; });
-    gather(P, JA, JG, sorter);
-    fj::for_range(0, n, fj::kDefaultGrain,
-                  [&](size_t i) { P[i] = JG[i]; });
+    gather(P, P, JG);  // the plan copies the addresses before the read
+    fj::for_range(0, n, fj::kDefaultGrain, [&](size_t i) { P[i] = JG[i]; });
   };
 
   const unsigned rounds = 2 * util::log2_ceil(n) + 4;
   for (unsigned r = 0; r < rounds; ++r) {
-    gather(P, AUV, PUV, sorter);
+    gather(endpoints, P, PUV);
     // Hook the larger label onto the smaller one (roots only: after the
     // jumps below, labels are roots or near-roots; extra hooks onto
     // non-roots are benign because the value written is always smaller
@@ -82,7 +81,7 @@ inline std::vector<uint64_t> connected_components(
       VA[e] = mn;
       LV[e] = a != b ? 1u : 0u;
     });
-    scatter_min(P, TG, VA, LV, sorter, /*combine_min=*/true);
+    scatter_min(P, TG, VA, LV, /*combine_min=*/true);
     jump();
     jump();
   }

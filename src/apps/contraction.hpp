@@ -10,7 +10,10 @@
 // Every phase is realized with batch-oblivious gathers and scatters
 // (fixed-pattern routing instances) over the node tables; the leaf
 // work-list halves every phase — a public, data-independent schedule, so
-// the whole access pattern depends only on (n, L).
+// the whole access pattern depends only on (n, L). Each substep reads its
+// tables at four address arrays (the leaves, their parents, siblings and
+// grandparents) through one AddrPlan per array, so each array's requests
+// are sorted once however many tables are read there.
 //
 // Deviation from the paper (documented in DESIGN.md/EXPERIMENTS.md): the
 // paper compacts *memory* geometrically to reach O(W_sort(n)) total work;
@@ -25,6 +28,7 @@
 
 #include "apps/common.hpp"
 #include "forkjoin/api.hpp"
+#include "obl/oswap.hpp"
 #include "sim/tracked.hpp"
 #include "util/bits.hpp"
 
@@ -58,8 +62,7 @@ namespace detail {
 
 /// Engine behind Runtime::tree_eval: evaluate the tree by oblivious rake
 /// contraction.
-inline uint64_t tree_eval(const ExprTree& t,
-                          const SorterBackend& sorter = default_backend()) {
+inline uint64_t tree_eval(const ExprTree& t) {
   const size_t n = t.size();
   assert(n >= 1);
 
@@ -121,8 +124,9 @@ inline uint64_t tree_eval(const ExprTree& t,
       const uint64_t v = leaves[0];
       vec<uint64_t> q(1), ra(1), rb(1);
       q.s()[0] = v;
-      gather(A, q.s(), ra.s(), sorter);
-      gather(B, q.s(), rb.s(), sorter);
+      const AddrPlan at_root(q.s());
+      gather(at_root, A, ra.s());
+      gather(at_root, B, rb.s());
       answer = addmod(mulmod(ra.s()[0], t.value[v] % kExprMod), rb.s()[0]);
       break;
     }
@@ -138,21 +142,23 @@ inline uint64_t tree_eval(const ExprTree& t,
                     [&](size_t i) { LV[i] = leaves[i]; });
       // Gather per-leaf state and parent state.
       vec<uint64_t> mynum(q), mya(q), myb(q);
-      gather(NUM, LV, mynum.s(), sorter);
-      gather(PAR, LV, PV, sorter);
-      gather(C0, PV, PC0, sorter);
-      gather(C1, PV, PC1, sorter);
-      gather(A, PV, PA, sorter);
-      gather(B, PV, PB, sorter);
-      gather(PAR, PV, PPAR, sorter);
-      gather(A, LV, mya.s(), sorter);
-      gather(B, LV, myb.s(), sorter);
+      const AddrPlan at_leaf(LV);
+      gather(at_leaf, NUM, mynum.s());
+      gather(at_leaf, PAR, PV);
+      gather(at_leaf, A, mya.s());
+      gather(at_leaf, B, myb.s());
       // Parent op table lives in plain memory; fetch obliviously too.
       vec<uint64_t> opt(n);
       const slice<uint64_t> OPT = opt.s();
       fj::for_range(0, n, fj::kDefaultGrain,
                     [&](size_t i) { OPT[i] = t.op[i]; });
-      gather(OPT, PV, POP, sorter);
+      const AddrPlan at_parent(PV);
+      gather(at_parent, C0, PC0);
+      gather(at_parent, C1, PC1);
+      gather(at_parent, A, PA);
+      gather(at_parent, B, PB);
+      gather(at_parent, PAR, PPAR);
+      gather(at_parent, OPT, POP);
 
       // Decide rakes and compute the sibling's new linear form.
       vec<uint64_t> sib(q), na(q), nb(q), npar(q), isleft(q);
@@ -161,68 +167,62 @@ inline uint64_t tree_eval(const ExprTree& t,
       fj::for_range(0, q, fj::kDefaultGrain, [&](size_t i) {
         sim::tick(1);
         const uint64_t v = LV[i];
-        const bool left = PC0[i] == v;
+        const uint64_t pc0 = PC0[i], pc1 = PC1[i];
+        const bool left = pc0 == v;
         const bool odd = (mynum.s()[i] & 1u) == 1u;
         const bool has_parent = PV[i] != kNoNode;
-        const bool rake = has_parent && odd && (left == (sub == 0));
-        const uint64_t s = left ? PC1[i] : PC0[i];
+        const bool rake = has_parent & odd & (left == (sub == 0));
         const uint64_t c =
             addmod(mulmod(mya.s()[i], t.value[v] % kExprMod), myb.s()[i]);
-        // New edge function of the sibling s (compose parent's fn with the
-        // raked constant under the parent's operator).
-        uint64_t a2, b2;
-        if (POP[i] == 0) {  // add: f_p(f_s(x) + c)
-          a2 = mulmod(PA[i], 1);
-          // a_s, b_s gathered lazily below — fold there instead.
-          b2 = c;
-        } else {  // mul: f_p(c * f_s(x))
-          a2 = mulmod(PA[i], c);
-          b2 = 0;
-        }
-        SIB[i] = s;
-        NA[i] = a2;  // partial; combined with s's own (a,b) in the scatter
-        NB[i] = b2;
+        // New edge function of the sibling s, partial: the parent's fn
+        // composed with the raked constant under the parent's operator,
+        // as a_p * (a_s x + b_s + NB) + b_p with a_p folded into NA —
+        //   add: f_p(f_s(x) + c):  NA = a_p,      NB = c
+        //   mul: f_p(c * f_s(x)):  NA = a_p * c,  NB = 0
+        // (a_p < kExprMod, so mulmod(a_p, 1) = a_p). Selected, not
+        // branched, so the operator never shows in the access pattern.
+        const bool add = POP[i] == 0;
+        const uint64_t pa = PA[i];
+        SIB[i] = obl::oselect(left, pc1, pc0);
+        NA[i] = obl::oselect(add, pa, mulmod(pa, c));
+        NB[i] = obl::oselect<uint64_t>(add, c, 0);
         NPAR[i] = PPAR[i];
         ISL[i] = left ? 1u : 0u;
         RAKE[i] = rake ? 1u : 0u;
       });
       // Gather the sibling's current (a, b) and finish the composition:
+      //   a' = NA * a_s,  b' = NA * (b_s + NB) + b_p, i.e.
       //   add: a' = a_p * a_s,            b' = a_p * (b_s + c) + b_p
       //   mul: a' = a_p * c * a_s,        b' = a_p * c * b_s + b_p
       vec<uint64_t> sa(q), sb(q), fa(q), fb(q);
-      gather(A, SIB, sa.s(), sorter);
-      gather(B, SIB, sb.s(), sorter);
+      const AddrPlan at_sibling(SIB);
+      gather(at_sibling, A, sa.s());
+      gather(at_sibling, B, sb.s());
       fj::for_range(0, q, fj::kDefaultGrain, [&](size_t i) {
         sim::tick(1);
-        uint64_t a2, b2;
-        if (POP[i] == 0) {
-          a2 = mulmod(PA[i], sa.s()[i]);
-          b2 = addmod(mulmod(PA[i], addmod(sb.s()[i], NB[i])), PB[i]);
-        } else {
-          a2 = mulmod(NA[i], sa.s()[i]);
-          b2 = addmod(mulmod(NA[i], sb.s()[i]), PB[i]);
-        }
-        fa.s()[i] = a2;
-        fb.s()[i] = b2;
+        const uint64_t na = NA[i];
+        fa.s()[i] = mulmod(na, sa.s()[i]);
+        fb.s()[i] = addmod(mulmod(na, addmod(sb.s()[i], NB[i])), PB[i]);
       });
       // Scatter updates (targets unique per table within a substep).
-      scatter_min(A, SIB, fa.s(), RAKE, sorter);
-      scatter_min(B, SIB, fb.s(), RAKE, sorter);
-      scatter_min(PAR, SIB, NPAR, RAKE, sorter);
+      scatter_min(A, SIB, fa.s(), RAKE);
+      scatter_min(B, SIB, fb.s(), RAKE);
+      scatter_min(PAR, SIB, NPAR, RAKE);
       // Grandparent's child slot: p -> s. Which slot depends on p's side.
       vec<uint64_t> gl0(q), gl1(q);
       const slice<uint64_t> GL0 = gl0.s(), GL1 = gl1.s();
       vec<uint64_t> gc0(q);
-      gather(C0, NPAR, gc0.s(), sorter);  // grandparent's left child
+      const AddrPlan at_grandparent(NPAR);
+      gather(at_grandparent, C0, gc0.s());  // grandparent's left child
       fj::for_range(0, q, fj::kDefaultGrain, [&](size_t i) {
         sim::tick(1);
-        const bool valid = RAKE[i] != 0 && NPAR[i] != kNoNode;
+        const bool valid = (RAKE[i] != 0) & (NPAR[i] != kNoNode);
         const bool p_is_left = gc0.s()[i] == PV[i];
-        GL0[i] = (valid && p_is_left) ? 1u : 0u;
-        GL1[i] = (valid && !p_is_left) ? 1u : 0u;
+        GL0[i] = valid & p_is_left;
+        GL1[i] = valid & !p_is_left;
       });
-      scatter_min(C0, NPAR, SIB, GL0, sorter);
-      scatter_min(C1, NPAR, SIB, GL1, sorter);
+      scatter_min(C0, NPAR, SIB, GL0);
+      scatter_min(C1, NPAR, SIB, GL1);
       // Drop raked leaves from the work-list (public sizes).
       std::vector<uint64_t> survivors;
       survivors.reserve(q);
@@ -238,10 +238,10 @@ inline uint64_t tree_eval(const ExprTree& t,
       const slice<uint64_t> LV = lv.s(), NN = nn.s();
       fj::for_range(0, q, fj::kDefaultGrain,
                     [&](size_t i) { LV[i] = leaves[i]; });
-      gather(NUM, LV, NN, sorter);
+      gather(NUM, LV, NN);
       fj::for_range(0, q, fj::kDefaultGrain,
                     [&](size_t i) { halves.s()[i] = NN[i] / 2; });
-      scatter_min(NUM, LV, halves.s(), onesq.s(), sorter);
+      scatter_min(NUM, LV, halves.s(), onesq.s());
     }
   }
   return answer;

@@ -141,7 +141,7 @@ inline std::vector<uint64_t> euler_tour(
   fj::for_range(0, dm, fj::kDefaultGrain,
                 [&](size_t p) { idv[p] = de[p].payload; });
   vec<uint64_t> outv(dm);
-  scatter_min(outv.s(), idv, sc, live.s(), sorter);
+  scatter_min(outv.s(), idv, sc, live.s());
   for (size_t e = 0; e < dm; ++e) tour[e] = outv.s()[e];
   return tour;
 }

@@ -6,12 +6,13 @@
 // a per-label "best edge" table), selected edges hook the larger label
 // onto the smaller and join the forest, and pointer doubling flattens
 // labels. Every round performs one gather of both endpoint labels (one
-// send-receive over n + 2m records), one scatter_min of 2m proposals into
-// the n-cell best-edge table, one gather of both endpoints' winners over
-// the same 2m addresses, one hooking scatter_min of m proposals, and
-// log n + 1 jumps. A fixed O(log n) round count keeps the access pattern
-// data-independent. Distinct weights are assumed (ties broken by edge id,
-// packed into the proposal value), which also makes the MSF unique.
+// merge of the 2m endpoint requests, sorted once before the first round,
+// with the n labels), one scatter_min of 2m proposals into the n-cell
+// best-edge table, one gather of both endpoints' winners at those 2m
+// labels, one hooking scatter_min of m proposals, and log n + 1 jumps.
+// A fixed O(log n) round count keeps the access pattern data-independent.
+// Distinct weights are assumed (ties broken by edge id, packed into the
+// proposal value), which also makes the MSF unique.
 
 #include <cassert>
 #include <cstdint>
@@ -31,9 +32,8 @@ namespace detail {
 /// Returns a 0/1 flag per input edge: 1 iff the edge is in the MSF.
 /// Requires w < 2^31 and m < 2^31 (weight and id pack into one proposal);
 /// Runtime::msf throws std::invalid_argument otherwise.
-inline std::vector<uint8_t> msf(size_t n, const std::vector<GEdge>& edges,
-                                const SorterBackend& sorter =
-                                    default_backend()) {
+inline std::vector<uint8_t> msf(size_t n,
+                                const std::vector<GEdge>& edges) {
   const size_t m = edges.size();
   std::vector<uint8_t> in_msf(m, 0);
   if (m == 0 || n <= 1) return in_msf;
@@ -43,8 +43,9 @@ inline std::vector<uint8_t> msf(size_t n, const std::vector<GEdge>& edges,
   fj::for_range(0, n, fj::kDefaultGrain, [&](size_t i) { P[i] = i; });
 
   // Per-endpoint arrays are 2m long: the u-half, then the v-half. One
-  // gather reads both endpoints' labels, and the labels double as the
-  // addresses of the two proposals each edge makes.
+  // gather reads both endpoints' labels (its requests sorted once for
+  // every round), and the labels double as the addresses of the two
+  // proposals each edge makes.
   vec<uint64_t> auv(2 * m), puv(2 * m);
   const slice<uint64_t> AUV = auv.s(), PUV = puv.s();
   const slice<uint64_t> PU = PUV.sub(0, m), PV = PUV.sub(m, m);
@@ -52,12 +53,12 @@ inline std::vector<uint8_t> msf(size_t n, const std::vector<GEdge>& edges,
     AUV[e] = edges[e].u;
     AUV[m + e] = edges[e].v;
   });
+  const AddrPlan endpoints(AUV);
 
-  vec<uint64_t> ja(n), jg(n);
-  const slice<uint64_t> JA = ja.s(), JG = jg.s();
+  vec<uint64_t> jg(n);
+  const slice<uint64_t> JG = jg.s();
   auto jump = [&] {
-    fj::for_range(0, n, fj::kDefaultGrain, [&](size_t i) { JA[i] = P[i]; });
-    gather(P, JA, JG, sorter);
+    gather(P, P, JG);  // the plan copies the addresses before the read
     fj::for_range(0, n, fj::kDefaultGrain, [&](size_t i) { P[i] = JG[i]; });
   };
 
@@ -72,7 +73,7 @@ inline std::vector<uint8_t> msf(size_t n, const std::vector<GEdge>& edges,
 
   const unsigned rounds = util::log2_ceil(n) + 2;
   for (unsigned r = 0; r < rounds; ++r) {
-    gather(P, AUV, PUV, sorter);
+    gather(endpoints, P, PUV);
     // Reset the per-label best-edge table.
     fj::for_range(0, n, fj::kDefaultGrain, [&](size_t i) { BEST[i] = kNone; });
     // Each edge proposes itself to both endpoint components (addresses
@@ -86,10 +87,10 @@ inline std::vector<uint8_t> msf(size_t n, const std::vector<GEdge>& edges,
       PW[m + e] = packed;
       PL[m + e] = lv;
     });
-    scatter_min(BEST, PUV, PW, PL, sorter);
+    scatter_min(BEST, PUV, PW, PL);
     // Each edge checks whether it won either endpoint's selection (bitwise
     // & and |: a short-circuit would make the BU/BV reads data-dependent).
-    gather(BEST, PUV, BUV, sorter);
+    gather(BEST, PUV, BUV);
     fj::for_range(0, m, fj::kDefaultGrain, [&](size_t e) {
       sim::tick(1);
       const uint64_t packed = (edges[e].w << 32) | e;
@@ -107,7 +108,7 @@ inline std::vector<uint8_t> msf(size_t n, const std::vector<GEdge>& edges,
       HT[e] = a > b ? a : b;
       HV[e] = a > b ? b : a;
     });
-    scatter_min(P, HT, HV, CF, sorter, /*combine_min=*/true);
+    scatter_min(P, HT, HV, CF, /*combine_min=*/true);
     // Borůvka's selection step needs *exact* component labels, so flatten
     // fully each round (log n pointer-doubling jumps) — stale labels would
     // admit intra-component edges into the forest.

@@ -334,35 +334,38 @@ class Runtime {
     });
   }
 
-  /// Batch-oblivious table read: out[i] = table[addrs[i]]. |out| must
-  /// equal |addrs| (std::invalid_argument otherwise).
+  /// Batch-oblivious table read: out[i] = table[addrs[i]]; addresses
+  /// >= |table| read as 0. One bitonic_ca sort of the |addrs| requests,
+  /// one recorded merge of pow2_ceil(|addrs| + |table|) records with the
+  /// table's cells, a scan, the merge's replay and one sort of the answers
+  /// back to request order; the schedule depends on the two sizes only
+  /// and reads no sorter backend. |out| must equal |addrs|
+  /// (std::invalid_argument otherwise).
   void gather(const slice<uint64_t>& table, const slice<uint64_t>& addrs,
-              const slice<uint64_t>& out, const SortOptions& opts = {}) {
+              const slice<uint64_t>& out) {
     check_size("gather", "out", out.size(), addrs.size());
-    const auto sorter = resolve(opts);
     obs::Span span("rt.gather", "n", addrs.size());
-    with_env([&] { apps::gather(table, addrs, out, *sorter); });
+    with_env([&] { apps::gather(table, addrs, out); });
   }
 
   /// Batch-oblivious conflict-resolved table write: each live proposal
   /// (addrs[i], values[i]) with addrs[i] < |table| competes for its cell,
   /// and the minimum value wins (with `combine_min`, only if smaller than
   /// the cell's old value). Dead and out-of-range proposals never land.
-  /// One segmented min-scan between two canonical sorts of
-  /// pow2_ceil(|addrs| + |table|) records; the schedule depends on the
-  /// two sizes only. |values| and |live| must equal |addrs|
-  /// (std::invalid_argument otherwise).
+  /// One bitonic_ca sort of the |addrs| proposals, one recorded merge of
+  /// pow2_ceil(|addrs| + |table|) records with the table's cells, a
+  /// neighbour pass and the merge's replay; the schedule depends on the
+  /// two sizes only and reads no sorter backend. |values| and |live| must
+  /// equal |addrs| (std::invalid_argument otherwise).
   void scatter_min(const slice<uint64_t>& table,
                    const slice<uint64_t>& addrs,
                    const slice<uint64_t>& values,
-                   const slice<uint64_t>& live, bool combine_min = false,
-                   const SortOptions& opts = {}) {
+                   const slice<uint64_t>& live, bool combine_min = false) {
     check_size("scatter_min", "values", values.size(), addrs.size());
     check_size("scatter_min", "live", live.size(), addrs.size());
-    const auto sorter = resolve(opts);
     obs::Span span("rt.scatter_min", "n", addrs.size());
     with_env([&] {
-      apps::scatter_min(table, addrs, values, live, *sorter, combine_min);
+      apps::scatter_min(table, addrs, values, live, combine_min);
     });
   }
 
@@ -609,10 +612,13 @@ class Runtime {
     return out;
   }
 
-  /// Oblivious Euler tour of an unrooted tree, rooted at `root`.
+  /// Oblivious Euler tour of an unrooted tree, rooted at `root`. The tree
+  /// needs at least one edge, and every endpoint and the root must name
+  /// one of its |edges| + 1 vertices (std::invalid_argument otherwise).
   std::vector<uint64_t> euler_tour(const std::vector<apps::Edge>& edges,
                                    uint32_t root,
                                    const SortOptions& opts = {}) {
+    check_tree("euler_tour", edges, root);
     const auto sorter = resolve(opts);
     const uint64_t s = fresh_seed();
     obs::Span span("rt.euler_tour", "edges", edges.size());
@@ -622,10 +628,12 @@ class Runtime {
     return out;
   }
 
-  /// Parent / depth / preorder / subtree size for every vertex.
+  /// Parent / depth / preorder / subtree size for every vertex. Same
+  /// contract as euler_tour.
   apps::TreeFunctions tree_functions(const std::vector<apps::Edge>& edges,
                                      uint32_t root,
                                      const SortOptions& opts = {}) {
+    check_tree("tree_functions", edges, root);
     const auto sorter = resolve(opts);
     const uint64_t s = fresh_seed();
     obs::Span span("rt.tree_functions", "edges", edges.size());
@@ -638,14 +646,11 @@ class Runtime {
   /// Oblivious connected components (label = min vertex id). Every
   /// endpoint must be < n (std::invalid_argument otherwise).
   std::vector<uint64_t> connected_components(
-      size_t n, const std::vector<apps::GEdge>& edges,
-      const SortOptions& opts = {}) {
-    const auto sorter = resolve(opts);
+      size_t n, const std::vector<apps::GEdge>& edges) {
     check_graph("connected_components", n, edges, /*weighted=*/false);
     obs::Span span("rt.connected_components", "n", n, "edges", edges.size());
     std::vector<uint64_t> out;
-    with_env(
-        [&] { out = apps::detail::connected_components(n, edges, *sorter); });
+    with_env([&] { out = apps::detail::connected_components(n, edges); });
     return out;
   }
 
@@ -653,22 +658,24 @@ class Runtime {
   /// endpoint must be < n, every weight < 2^31 and the edge count < 2^31
   /// (weight and edge id pack into one 64-bit proposal);
   /// std::invalid_argument otherwise.
-  std::vector<uint8_t> msf(size_t n, const std::vector<apps::GEdge>& edges,
-                           const SortOptions& opts = {}) {
-    const auto sorter = resolve(opts);
+  std::vector<uint8_t> msf(size_t n, const std::vector<apps::GEdge>& edges) {
     check_graph("msf", n, edges, /*weighted=*/true);
     obs::Span span("rt.msf", "n", n, "edges", edges.size());
     std::vector<uint8_t> out;
-    with_env([&] { out = apps::detail::msf(n, edges, *sorter); });
+    with_env([&] { out = apps::detail::msf(n, edges); });
     return out;
   }
 
-  /// Oblivious expression-tree evaluation by rake contraction.
-  uint64_t tree_eval(const apps::ExprTree& t, const SortOptions& opts = {}) {
-    const auto sorter = resolve(opts);
+  /// Oblivious expression-tree evaluation by rake contraction. `t` must be
+  /// a full binary tree: its arrays have one entry per node (at least
+  /// one), every node has two children or none (kNoNode), and every node
+  /// is reached exactly once from `root` (std::invalid_argument
+  /// otherwise).
+  uint64_t tree_eval(const apps::ExprTree& t) {
+    check_expr_tree(t);
     obs::Span span("rt.tree_eval", "nodes", t.size());
     uint64_t out = 0;
-    with_env([&] { out = apps::detail::tree_eval(t, *sorter); });
+    with_env([&] { out = apps::detail::tree_eval(t); });
     return out;
   }
 
@@ -886,6 +893,62 @@ class Runtime {
                                     ": edge weights must be < 2^31");
       }
     }
+  }
+
+  /// Throws unless the edge list is non-empty and every endpoint and the
+  /// root name one of the tree's |edges| + 1 vertices.
+  static void check_tree(const char* what,
+                         const std::vector<apps::Edge>& edges,
+                         uint32_t root) {
+    const uint64_t n = uint64_t{edges.size()} + 1;
+    if (edges.empty()) {
+      throw std::invalid_argument(std::string(what) +
+                                  ": the tree needs at least one edge");
+    }
+    if (root >= n) {
+      throw std::invalid_argument(std::string(what) +
+                                  ": root out of range (> |edges|)");
+    }
+    for (const apps::Edge& e : edges) {
+      if (e.u >= n || e.v >= n) {
+        throw std::invalid_argument(
+            std::string(what) + ": edge endpoint out of range (> |edges|)");
+      }
+    }
+  }
+
+  /// Throws unless `t` is a full binary tree rooted at t.root (see
+  /// tree_eval): a walk from the root meets every node exactly once.
+  static void check_expr_tree(const apps::ExprTree& t) {
+    const size_t n = t.size();
+    const auto fail = [](const char* why) {
+      throw std::invalid_argument(std::string("tree_eval: ") + why);
+    };
+    if (n == 0) fail("the tree needs at least one node");
+    if (t.c1.size() != n || t.op.size() != n || t.value.size() != n) {
+      fail("c0, c1, op and value must have one entry per node");
+    }
+    if (t.root >= n) fail("root out of range (>= node count)");
+    std::vector<uint8_t> seen(n, 0);
+    std::vector<uint64_t> stack{t.root};
+    size_t reached = 0;
+    while (!stack.empty()) {
+      const uint64_t v = stack.back();
+      stack.pop_back();
+      if (seen[v]) fail("a node is reached twice from the root");
+      seen[v] = 1;
+      ++reached;
+      const bool leaf0 = t.c0[v] == apps::kNoNode;
+      const bool leaf1 = t.c1[v] == apps::kNoNode;
+      if (leaf0 != leaf1) fail("a node has exactly one child");
+      if (leaf0) continue;
+      if (t.c0[v] >= n || t.c1[v] >= n) {
+        fail("child out of range (>= node count)");
+      }
+      stack.push_back(t.c0[v]);
+      stack.push_back(t.c1[v]);
+    }
+    if (reached != n) fail("a node is unreachable from the root");
   }
 
   /// Throws unless every successor indexes a node of the list.

@@ -17,10 +17,12 @@
 #include "apps/listrank.hpp"
 #include "apps/msf.hpp"
 #include "dopar.hpp"
+#include "forkjoin/pool.hpp"
 #include "insecure/contraction.hpp"
 #include "insecure/euler.hpp"
 #include "insecure/graph.hpp"
 #include "insecure/listrank.hpp"
+#include "sim/session.hpp"
 #include "util/rng.hpp"
 
 namespace dopar {
@@ -80,7 +82,7 @@ TEST(GatherScatter, CombineMinRespectsOldValue) {
   vec<uint64_t> table(4, 3), addrs(1), vals(1), live(1, 1);
   addrs.s()[0] = 0;
   vals.s()[0] = 9;
-  apps::scatter_min(table.s(), addrs.s(), vals.s(), live.s(), default_backend(), true);
+  apps::scatter_min(table.s(), addrs.s(), vals.s(), live.s(), true);
   EXPECT_EQ(table.s()[0], 3u);  // old value smaller, kept
 }
 
@@ -105,15 +107,96 @@ std::vector<uint64_t> scatter_min_oracle(std::vector<uint64_t> table,
   return table;
 }
 
-// Differential check of scatter_min against the oracle on every registered
-// backend: sizes around and across powers of two, all-dead batches, heavy
-// duplicates (few addresses, few values), and live proposals that address
-// past the table, including the ~0 "no node" sentinel and 2^63 + a.
+// Plain-loop reference for gather: in-range addresses read their cell,
+// every other address reads 0.
+std::vector<uint64_t> gather_oracle(const std::vector<uint64_t>& table,
+                                    const std::vector<uint64_t>& addrs) {
+  std::vector<uint64_t> out(addrs.size(), 0);
+  for (size_t i = 0; i < addrs.size(); ++i) {
+    if (addrs[i] < table.size()) out[i] = table[addrs[i]];
+  }
+  return out;
+}
+
+// An address drawn from one of the sweep's shapes: mostly in range with
+// some just past the table, crowded onto a few cells, or out of range —
+// ~0, just past the table, or 2^63 + a valid address (which a key shifted
+// left by one would alias).
+enum class AddrShape { Mixed, Crowded, OutOfRange };
+uint64_t sweep_addr(AddrShape shape, size_t s, util::Rng& rng) {
+  switch (shape) {
+    case AddrShape::Mixed:
+      return rng.below(s + 4);
+    case AddrShape::Crowded:
+      return rng.below(s < 3 ? s : 3);
+    case AddrShape::OutOfRange:
+      switch (rng.below(4)) {
+        case 0: return ~uint64_t{0};
+        case 1: return s + rng.below(9);
+        case 2: return (uint64_t{1} << 63) + rng.below(s);
+        default: return rng.below(s);
+      }
+  }
+  return 0;
+}
+
+// Differential check of gather against the oracle: q >> s, s >> q, single
+// requests and single cells, sizes around and across powers of two, and
+// every address shape, including the ~0 "no node" sentinel and 2^63 + a.
+TEST(GatherScatter, GatherMatchesOracle) {
+  util::Rng rng(0x6a7);
+  for (size_t q : {size_t{0}, size_t{1}, size_t{7}, size_t{1000}}) {
+    for (size_t s : {size_t{1}, size_t{5}, size_t{64}, size_t{1000}}) {
+      for (AddrShape shape :
+           {AddrShape::Mixed, AddrShape::Crowded, AddrShape::OutOfRange}) {
+        std::vector<uint64_t> table(s), addrs(q);
+        for (auto& t : table) t = rng();
+        for (auto& a : addrs) a = sweep_addr(shape, s, rng);
+        vec<uint64_t> t(table), a(addrs), out(q);
+        apps::gather(t.s(), a.s(), out.s());
+        EXPECT_EQ(out.underlying(), gather_oracle(table, addrs))
+            << "q=" << q << " s=" << s
+            << " shape=" << static_cast<int>(shape);
+        EXPECT_EQ(t.underlying(), table);  // the table is only read
+      }
+    }
+  }
+  // An empty table: every address misses.
+  vec<uint64_t> empty(0), a(std::vector<uint64_t>{0, 3, ~uint64_t{0}}),
+      out(3, 9);
+  apps::gather(empty.s(), a.s(), out.s());
+  EXPECT_EQ(out.underlying(), (std::vector<uint64_t>{0, 0, 0}));
+}
+
+// One plan serves tables of different sizes (some addresses in range for
+// one and past the end of another) exactly as per-call gathers do.
+TEST(GatherScatter, PlanReadsMatchPerCallGathers) {
+  util::Rng rng(0x91a);
+  std::vector<uint64_t> addrs(300);
+  for (auto& a : addrs) a = sweep_addr(AddrShape::OutOfRange, 100, rng);
+  vec<uint64_t> av(addrs);
+  const apps::AddrPlan plan(av.s());
+  EXPECT_EQ(plan.size(), addrs.size());
+  for (size_t s : {size_t{100}, size_t{37}, size_t{513}}) {
+    std::vector<uint64_t> table(s);
+    for (auto& t : table) t = rng();
+    vec<uint64_t> tv(table), via_plan(addrs.size()), plain(addrs.size());
+    apps::gather(plan, tv.s(), via_plan.s());
+    apps::gather(tv.s(), av.s(), plain.s());
+    EXPECT_EQ(via_plan.underlying(), plain.underlying()) << "s=" << s;
+    EXPECT_EQ(via_plan.underlying(), gather_oracle(table, addrs))
+        << "s=" << s;
+  }
+}
+
+// Differential check of scatter_min against the oracle: sizes around and
+// across powers of two, all-dead batches, heavy duplicates (few
+// addresses, few values), and live proposals that address past the
+// table, including the ~0 "no node" sentinel and 2^63 + a.
 TEST(GatherScatter, ScatterMinMatchesOracle) {
   enum class Shape { Mixed, AllDead, Crowded, OutOfRange };
-  for (const std::string& name : backend_names()) {
-    const auto sorter = make_backend(name);
-    util::Rng rng(0x5ca7 + name.size());
+  for (uint64_t seed : {0x5ca7u, 0x5ca8u, 0x5ca9u}) {
+    util::Rng rng(seed);
     for (size_t q : {size_t{0}, size_t{1}, size_t{7}, size_t{1000}}) {
       for (size_t s : {size_t{1}, size_t{5}, size_t{64}, size_t{1000}}) {
         for (Shape shape : {Shape::Mixed, Shape::AllDead, Shape::Crowded,
@@ -157,15 +240,41 @@ TEST(GatherScatter, ScatterMinMatchesOracle) {
             const auto want =
                 scatter_min_oracle(table, addrs, vals, live, combine);
             vec<uint64_t> t(table), a(addrs), v(vals), l(live);
-            apps::scatter_min(t.s(), a.s(), v.s(), l.s(), *sorter, combine);
+            apps::scatter_min(t.s(), a.s(), v.s(), l.s(), combine);
             EXPECT_EQ(t.underlying(), want)
-                << name << " q=" << q << " s=" << s
+                << "seed=" << seed << " q=" << q << " s=" << s
                 << " shape=" << static_cast<int>(shape)
                 << " combine_min=" << combine;
           }
         }
       }
     }
+  }
+}
+
+// Natively the request sort, the merge rounds, the scan and the
+// neighbour pass fork on the pool: sizes past an L1 tile of records and a
+// scan block, run on four threads, must still match the oracles.
+TEST(GatherScatter, PooledRunsMatchOracle) {
+  fj::WithPool wp(3);
+  util::Rng rng(0x9001);
+  const size_t s = 3000, q = 5000;
+  std::vector<uint64_t> table(s), addrs(q), vals(q), live(q);
+  for (auto& t : table) t = rng.below(1u << 20);
+  for (size_t i = 0; i < q; ++i) {
+    addrs[i] = sweep_addr(AddrShape::Mixed, s, rng);
+    vals[i] = rng.below(1u << 20);
+    live[i] = rng.below(4) != 0;
+  }
+  vec<uint64_t> t(table), a(addrs), v(vals), l(live), out(q);
+  wp.run([&] { apps::gather(t.s(), a.s(), out.s()); });
+  EXPECT_EQ(out.underlying(), gather_oracle(table, addrs));
+  for (bool combine : {false, true}) {
+    vec<uint64_t> tc(table);
+    wp.run([&] { apps::scatter_min(tc.s(), a.s(), v.s(), l.s(), combine); });
+    EXPECT_EQ(tc.underlying(),
+              scatter_min_oracle(table, addrs, vals, live, combine))
+        << "combine_min=" << combine;
   }
 }
 
@@ -549,6 +658,81 @@ TEST(AppsOblivious, MsfDigestIsGraphIndependent) {
   const uint64_t d = digest(17);
   EXPECT_NE(d, 0u);
   EXPECT_EQ(d, digest(18));
+}
+
+// One plan read against two tables: the plan's sort, both merges and
+// both answer sorts depend on the sizes only, whatever the addresses
+// (in range, crowded, past the end) and table contents.
+TEST(AppsOblivious, PlanGatherDigestIsContentIndependent) {
+  auto digest = [](uint64_t seed) {
+    sim::Session session = sim::Session::analytic().with_trace();
+    sim::ScopedSession guard(session);
+    util::Rng rng(seed);
+    std::vector<uint64_t> addrs(45), small(20), large(64);
+    for (auto& a : addrs) {
+      a = seed == 1 ? sweep_addr(AddrShape::OutOfRange, 64, rng)
+                    : sweep_addr(AddrShape::Crowded, 64, rng);
+    }
+    for (auto& t : small) t = rng();
+    for (auto& t : large) t = rng();
+    vec<uint64_t> av(addrs), sv(small), lv(large), o1(45), o2(45);
+    const apps::AddrPlan plan(av.s());
+    apps::gather(plan, sv.s(), o1.s());
+    apps::gather(plan, lv.s(), o2.s());
+    EXPECT_EQ(o2.underlying(), gather_oracle(large, addrs));
+    return session.log()->digest();
+  };
+  const uint64_t d = digest(1);
+  EXPECT_NE(d, 0u);
+  EXPECT_EQ(d, digest(2));
+}
+
+// The tour's sort, group propagation, send-receives and closing
+// scatter_min see only the edge count: a random tree, a path and a star
+// rooted at different vertices leave one digest.
+TEST(AppsOblivious, EulerTourDigestIsContentIndependent) {
+  constexpr size_t n = 40;
+  auto digest = [&](const std::vector<apps::Edge>& edges, uint32_t root) {
+    auto rt = traced_runtime();
+    const auto tour = rt.euler_tour(edges, root);
+    EXPECT_EQ(tour.size(), 2 * edges.size());
+    return rt.trace_digest();
+  };
+  std::vector<apps::Edge> path, star;
+  for (uint32_t v = 1; v < n; ++v) {
+    path.push_back(apps::Edge{v - 1, v});
+    star.push_back(apps::Edge{0, v});
+  }
+  const uint64_t d = digest(random_tree(n, 3), 0);
+  EXPECT_NE(d, 0u);
+  EXPECT_EQ(d, digest(path, 17));
+  EXPECT_EQ(d, digest(star, n - 1));
+}
+
+// Rake contraction's schedule follows the tree's shape (public), never its
+// leaf values or operators: one shape with different values and an
+// all-add vs an all-multiply operator assignment leaves one digest.
+TEST(AppsOblivious, TreeEvalDigestIsValueIndependent) {
+  auto digest = [](uint64_t seed, int ops) {
+    apps::ExprTree t = random_expr_tree(40, 7);
+    util::Rng rng(seed);
+    for (size_t i = 0; i < t.size(); ++i) {
+      if (t.is_leaf(i)) {
+        t.value[i] = rng.below(1'000'000);
+      } else {
+        t.op[i] = ops < 0 ? static_cast<uint8_t>(rng.below(2))
+                          : static_cast<uint8_t>(ops);
+      }
+    }
+    auto rt = traced_runtime();
+    EXPECT_EQ(rt.tree_eval(t), apps::tree_eval_reference(t));
+    return rt.trace_digest();
+  };
+  const uint64_t d = digest(1, -1);
+  EXPECT_NE(d, 0u);
+  EXPECT_EQ(d, digest(2, -1));
+  EXPECT_EQ(d, digest(3, 0));
+  EXPECT_EQ(d, digest(4, 1));
 }
 
 }  // namespace

@@ -223,6 +223,55 @@ TEST(RuntimeContract, BinAssignRejectsOffPow2AndUndersizedInputs) {
   EXPECT_EQ(out.beta * out.Z, 2 * small.size());
 }
 
+// Tree vertices are 0..|edges|; an endpoint or root past that used to
+// index past the per-vertex outputs of tree_functions.
+TEST(RuntimeContract, TreeFunctionsRejectOutOfRangeEdgesAndRoot) {
+  auto rt = Runtime::builder().seed(2).build();
+  const std::vector<apps::Edge> ok{{0, 1}, {1, 2}};  // vertices 0..2
+  const std::vector<apps::Edge> far_v{{0, 1}, {1, 3}};
+  const std::vector<apps::Edge> far_u{{3, 1}, {1, 2}};
+  for (const auto& bad : {far_v, far_u}) {
+    EXPECT_THROW((void)rt.euler_tour(bad, 0), std::invalid_argument);
+    EXPECT_THROW((void)rt.tree_functions(bad, 0), std::invalid_argument);
+  }
+  EXPECT_THROW((void)rt.euler_tour(ok, 3), std::invalid_argument);
+  EXPECT_THROW((void)rt.tree_functions(ok, 3), std::invalid_argument);
+  EXPECT_THROW((void)rt.euler_tour({}, 0), std::invalid_argument);
+  EXPECT_THROW((void)rt.tree_functions({}, 0), std::invalid_argument);
+  // The largest legal endpoint and root is |edges|.
+  const apps::TreeFunctions tf = rt.tree_functions(ok, 2);
+  EXPECT_EQ(tf.parent, (std::vector<uint64_t>{1, 2, 2}));
+  EXPECT_EQ(tf.depth, (std::vector<uint64_t>{2, 1, 0}));
+  EXPECT_EQ(rt.euler_tour(ok, 2).size(), 4u);
+}
+
+// tree_eval walks child pointers host-side before the oblivious phase: a
+// child past the node table, a half-leaf or a node reached twice used to
+// index out of bounds or loop.
+TEST(RuntimeContract, TreeEvalRejectsMalformedTrees) {
+  auto rt = Runtime::builder().seed(2).build();
+  // (leaf 0) + (leaf 1) at node 2.
+  apps::ExprTree t;
+  t.c0 = {apps::kNoNode, apps::kNoNode, 0};
+  t.c1 = {apps::kNoNode, apps::kNoNode, 1};
+  t.op = {0, 0, 0};
+  t.value = {5, 7, 0};
+  t.root = 2;
+  EXPECT_EQ(rt.tree_eval(t), 12u);
+  auto bad = [&](auto&& mutate) {
+    apps::ExprTree b = t;
+    mutate(b);
+    EXPECT_THROW((void)rt.tree_eval(b), std::invalid_argument);
+  };
+  bad([](apps::ExprTree& b) { b.c1[2] = 3; });                // child >= n
+  bad([](apps::ExprTree& b) { b.c1[2] = apps::kNoNode; });    // one child
+  bad([](apps::ExprTree& b) { b.c1[2] = 0; });                // shared child
+  bad([](apps::ExprTree& b) { b.root = 3; });                 // root >= n
+  bad([](apps::ExprTree& b) { b.root = 0; });                 // unreachable
+  bad([](apps::ExprTree& b) { b.value.pop_back(); });         // size mismatch
+  bad([](apps::ExprTree& b) { b = apps::ExprTree{}; });       // no nodes
+}
+
 TEST(RuntimeContract, SendReceiveRejectsSizeMismatchAndWideKeys) {
   auto rt = Runtime::builder().seed(2).build();
   vec<Elem> src(4), dst(8), res_short(2), res(8);

@@ -151,10 +151,10 @@ TEST(NativeScan, SegmentedCombinesMatchInstrumented) {
         return obl::detail::SrSeg{r.below(1u << 20), i, head & r.below(2),
                                   head};
       });
-  expect_scans_match<apps::detail::MinSeg>(
-      apps::detail::MinCombine{}, [](util::Rng& r, size_t i) {
-        const uint64_t head = i == 0 || r.below(8) == 0;
-        return apps::detail::MinSeg{r.below(64), r.below(3) != 0, head};
+  // The apps' gather scan: the last table cell (odd key) wins.
+  expect_scans_match<apps::KeyVal>(
+      apps::detail::LastCell{}, [](util::Rng& r, size_t) {
+        return apps::KeyVal{r.below(8), r.below(1000)};
       });
 }
 
