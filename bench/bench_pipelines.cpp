@@ -1,21 +1,19 @@
 // Concurrent-pipeline scheduling benchmark: two pipelines — connected
 // components over a social graph and a minimum spanning forest over a
-// sensor mesh — submitted together to ONE Runtime, timed under each
-// scheduler policy (sched/scheduler.hpp):
+// sensor mesh — run on ONE Runtime's shared fork-join arena
+// (sched/scheduler.hpp) in two ways:
 //
-//   exclusive   primitives serialize on the execution mutex (the
-//               pre-scheduler behavior; the serialized baseline),
-//   sliced      each primitive leases a disjoint worker slice,
-//   stealing    sliced + idle slices steal from busy ones.
+//   serial      submit one pipeline and join it, then the other (nothing
+//               overlaps; the baseline),
+//   concurrent  submit both, then join both (their primitives share the
+//               arena).
 //
-// Emits one row per policy into BENCH_pipelines.json via the shared
+// Emits one row per mode into BENCH_pipelines.json via the shared
 // BENCH_*.json schema: wall-clock microseconds of the joint run in the
 // `work` column (bench::record_wall) — machine-dependent timing rows, so
-// the CI snapshot diff reports them without gating. This tracks the
-// scheduler's overlap win in the perf trajectory from day one: on >= 4
-// hardware threads, sliced/stealing rows should sit visibly below the
-// exclusive row; on fewer threads all three converge (nothing to
-// overlap), which is itself worth seeing in the snapshot.
+// the CI snapshot diff reports them without gating. On >= 4 hardware
+// threads the concurrent row should sit below the serial one; on fewer
+// threads the two converge (nothing to overlap).
 //
 // Results are oracle-checked every repetition (exit code 1 on any
 // mismatch): scheduling must never change WHAT the pipelines compute.
@@ -87,36 +85,38 @@ int main() {
 
   bench::print_header(
       "Concurrent pipelines (CC + MSF, one Runtime)",
-      "policy | best-of-3 wall ms | results vs oracles");
+      "mode | best-of-3 wall ms | results vs oracles");
   std::printf("threads=%u social |V|=%zu |E|=%zu mesh |V|=%zu |E|=%zu\n",
               threads, g.n_social, g.social.size(), g.n_mesh,
               g.mesh.size());
 
   bool all_ok = true;
-  for (sched::SchedPolicy policy :
-       {sched::SchedPolicy::Exclusive, sched::SchedPolicy::Sliced,
-        sched::SchedPolicy::Stealing}) {
+  for (const bool concurrent : {false, true}) {
     double best_ms = 0;
     bool ok = true;
     for (int rep = 0; rep < reps; ++rep) {
-      auto rt = Runtime::builder()
-                    .threads(threads)
-                    .seed(13)
-                    .scheduler(policy)
-                    .build();
-      const auto t0 = std::chrono::steady_clock::now();
-      auto cc_fut = rt.submit(
-          [&] { return rt.connected_components(g.n_social, g.social); });
-      auto msf_fut = rt.submit([&]() -> uint64_t {
+      auto rt = Runtime::builder().threads(threads).seed(13).build();
+      auto cc = [&] { return rt.connected_components(g.n_social, g.social); };
+      auto msf = [&]() -> uint64_t {
         auto flags = rt.msf(g.n_mesh, g.mesh);
         uint64_t total = 0;
         for (size_t e = 0; e < g.mesh.size(); ++e) {
           if (flags[e]) total += g.mesh[e].w;
         }
         return total;
-      });
-      const auto labels = cc_fut.get();
-      const uint64_t msf_total = msf_fut.get();
+      };
+      std::vector<uint64_t> labels;
+      uint64_t msf_total = 0;
+      const auto t0 = std::chrono::steady_clock::now();
+      if (concurrent) {
+        auto cc_fut = rt.submit(cc);
+        auto msf_fut = rt.submit(msf);
+        labels = cc_fut.get();
+        msf_total = msf_fut.get();
+      } else {
+        labels = rt.submit(cc).get();
+        msf_total = rt.submit(msf).get();
+      }
       const double ms = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
@@ -124,10 +124,10 @@ int main() {
       ok = ok && labels == cc_want && msf_total == msf_want;
     }
     all_ok = all_ok && ok;
-    const std::string name(sched::to_string(policy));
+    const char* name = concurrent ? "concurrent" : "serial";
     bench::record_wall("pipelines", name, total_edges, "bitonic_ca",
                        best_ms * 1000.0);
-    std::printf("%-9s | %10.1f ms | %s\n", name.c_str(), best_ms,
+    std::printf("%-10s | %10.1f ms | %s\n", name, best_ms,
                 ok ? "match" : "MISMATCH");
   }
 

@@ -1,10 +1,9 @@
 // Oblivious graph analytics served asynchronously by one Runtime: two
 // pipelines — connected components over a social graph and a minimum
 // spanning forest over a sensor mesh — are submitted together with
-// Runtime::submit() and run genuinely in parallel under the work-sharing
-// scheduler (builder .scheduler(SchedPolicy::Stealing): each primitive
-// call leases a slice of the worker arena, and idle slices steal from
-// busy ones — no runtime-wide mutex between the two pipelines' sorts).
+// Runtime::submit() and run genuinely in parallel on the Runtime's one
+// shared fork-join arena: every worker steals from both pipelines' forks,
+// and no runtime-wide mutex sits between the two pipelines' sorts.
 // Paper Section 5.3 algorithms; the cloud learns vertex/edge counts but
 // not which vertices are connected: every round is fixed-pattern
 // oblivious gathers/scatters.
@@ -58,16 +57,12 @@ int main() {
         GEdge{u, v, static_cast<uint64_t>(2 * nm + 2 * mesh.size() + 1)});
   }
 
-  auto rt = Runtime::builder()
-                .threads(4)
-                .seed(13)
-                .scheduler(SchedPolicy::Stealing)
-                .build();
+  auto rt = Runtime::builder().threads(4).seed(13).build();
 
-  // Submit both pipelines; under the stealing policy their primitive
-  // calls overlap on disjoint worker slices (not just the glue between
-  // calls), and each pipeline draws from its own seed stream, so the
-  // results replay deterministically. Futures deliver the results.
+  // Submit both pipelines; their primitive calls overlap on the shared
+  // arena (not just the glue between calls), and each pipeline draws from
+  // its own seed stream, so the results replay deterministically.
+  // Futures deliver the results.
   Future<std::vector<uint64_t>> cc_fut = rt.submit([&] {
     return rt.connected_components(n, social);
   });

@@ -101,8 +101,7 @@ int main() {
   std::printf("served %llu requests in %llu batches "
               "(%llu coalesced, %llu solo); per-kind batches "
               "sort %llu / join %llu / group-by %llu; join pairs %llu; "
-              "groups %llu; queue high-water %zu; policy switches %llu; "
-              "errors %zu\n",
+              "groups %llu; queue high-water %zu; errors %zu\n",
               static_cast<unsigned long long>(st.accepted),
               static_cast<unsigned long long>(st.batches),
               static_cast<unsigned long long>(st.coalesced_requests),
@@ -113,8 +112,7 @@ int main() {
                   st.kinds[size_t(K::GroupBy)].batches),
               static_cast<unsigned long long>(pairs),
               static_cast<unsigned long long>(groups),
-              st.queue_depth_high_water,
-              static_cast<unsigned long long>(st.policy_switches), bad);
+              st.queue_depth_high_water, bad);
 
   // Per-kind end-to-end latency summaries from the obs histograms
   // (Options::metrics defaults to true).

@@ -17,9 +17,7 @@
 //     installed per-thread (fj::ScopedPool) for the duration of each
 //     method call, so two Runtimes with independent pools can serve
 //     different pipelines in the same process; within one Runtime, the
-//     builder's .scheduler(policy) decides whether concurrent pipelines
-//     serialize their primitives (Exclusive, default) or execute them in
-//     parallel on leased worker slices (Sliced / Stealing).
+//     primitives of concurrent pipelines share that one arena.
 //   * its sorter backend: the named entry of the backend registry
 //     (core/backend.hpp) every sorter-parametric primitive routes through.
 //     Builder .backend("odd_even") selects it per Runtime; every such
@@ -37,17 +35,14 @@
 // Async submission: submit(fn) enqueues fn onto the Runtime's scheduler
 // (sched/scheduler.hpp) and returns a dopar::Future<T>. The job runs with
 // the Runtime's pool installed thread-locally (as with_env does per method
-// call), so a job body typically just calls Runtime methods. How the
-// primitives of concurrent jobs share the machine is the Builder's
-// .scheduler(policy) choice: under SchedPolicy::Exclusive (default, the
-// classic behavior) primitives serialize on an execution mutex and only
-// the glue between them overlaps; under Sliced/Stealing each primitive
-// call leases a slice of the worker arena and concurrent pipelines
-// genuinely run in parallel. Exceptions propagate through Future::get().
+// call), so a job body typically just calls Runtime methods. The
+// primitives of concurrent jobs run together on the one shared arena,
+// whose workers steal from every caller's queue. Exceptions propagate
+// through Future::get().
 //
-// Thread-safety: any method may be called from any thread; under the
-// Exclusive policy primitive calls serialize internally, under
-// Sliced/Stealing they run concurrently on disjoint worker slices.
+// Thread-safety: any method may be called from any thread; concurrent
+// native calls run together on the shared arena, and instrumented calls
+// serialize on the measurement session.
 // Determinism: a deterministic sequence of synchronous method calls
 // replays call-for-call (counter-derived seeds). Every submitted job
 // additionally draws from its own seed stream, indexed by submission
@@ -140,17 +135,9 @@ class Runtime {
       backend_name_ = std::string(name);
       return *this;
     }
-    /// How concurrent pipelines share the worker arena (see
-    /// sched/scheduler.hpp): Exclusive (default) serializes primitives on
-    /// an execution mutex exactly like the pre-scheduler Runtime; Sliced
-    /// partitions the workers across the active pipelines; Stealing
-    /// additionally lets idle slices steal from busy ones. Irrelevant for
-    /// instrumented Runtimes (the analytic executor is serial by
-    /// construction).
-    Builder& scheduler(sched::SchedPolicy p) {
-      policy_ = p;
-      return *this;
-    }
+    /// No-op, kept so existing callers compile: every Runtime runs its
+    /// primitives on one shared fork-join arena (sched/scheduler.hpp).
+    Builder& scheduler(sched::SchedPolicy) { return *this; }
     /// Cap on concurrently executing submit() jobs (the job-worker pool;
     /// default sched::Scheduler::kMaxJobWorkers = 4). 0 is floored to 1.
     /// The serving layer (svc::Service) runs its batches as submitted
@@ -209,7 +196,6 @@ class Runtime {
     core::SortParams params_{};
     core::Variant variant_ = core::Variant::Practical;
     std::string backend_name_ = "bitonic_ca";
-    sched::SchedPolicy policy_ = sched::SchedPolicy::Exclusive;
     size_t job_workers_ = sched::Scheduler::kMaxJobWorkers;
     bool analytic_ = false;
     uint64_t cache_m_ = 0;
@@ -683,20 +669,18 @@ class Runtime {
 
   /// Enqueue `fn` on this Runtime's scheduler and return a Future for its
   /// result. A job body drives parallelism by calling Runtime methods
-  /// (each leases the pool per call); direct fj:: primitives in the body
+  /// (each runs on the shared arena); direct fj:: primitives in the body
   /// execute serially, exactly as on any other non-worker thread. Up to
   /// submit_workers() jobs execute concurrently (Builder::max_job_workers,
-  /// default kMaxSubmitWorkers = 4); whether their primitive
-  /// calls serialize (Exclusive) or overlap on worker slices
-  /// (Sliced/Stealing) is the Builder's .scheduler() policy. Exceptions
-  /// thrown by `fn` surface at Future::get(). Jobs still queued when the
-  /// Runtime is destroyed are executed (drained) first.
+  /// default kMaxSubmitWorkers = 4), and their primitive calls overlap on
+  /// the arena. Exceptions thrown by `fn` surface at Future::get(). Jobs
+  /// still queued when the Runtime is destroyed are executed (drained)
+  /// first.
   ///
   /// Seeds: each job draws from its own seed stream, derived from the
   /// master seed and the job's submission index — so a pipeline's outputs
   /// are a function of (builder config, submission order, its own call
-  /// sequence) and replay deterministically no matter how jobs interleave
-  /// or which policy runs them.
+  /// sequence) and replay deterministically no matter how jobs interleave.
   ///
   /// Blocking rule: do not block inside a job on the Future of a job that
   /// has not started — the worker set is capped at kMaxSubmitWorkers, so
@@ -726,7 +710,7 @@ class Runtime {
           // Make the Runtime's pool this thread's current pool for the
           // job's duration. Note this alone does not parallelize direct
           // fj:: calls (the job thread is not a pool worker); Runtime
-          // methods called by the body lease and run the pool themselves.
+          // methods called by the body run the pool themselves.
           if (fj::Pool* p = sched_->pool()) {
             fj::ScopedPool pguard(*p);
             return fn();
@@ -792,19 +776,6 @@ class Runtime {
   /// Total native parallelism (1 = serial; instrumented Runtimes are
   /// always serial).
   unsigned threads() const { return sched_ ? sched_->parallelism() : 1; }
-  /// The scheduler policy concurrent pipelines execute under.
-  sched::SchedPolicy scheduler_policy() const {
-    return sched_ ? sched_->policy() : sched::SchedPolicy::Exclusive;
-  }
-  /// Retarget the scheduler policy at runtime — the serving layer's
-  /// adaptive governor switches Exclusive <-> Sliced <-> Stealing from
-  /// observed load. Safe under live primitives (see
-  /// sched::Scheduler::set_policy); results and replay digests never
-  /// depend on the policy. No-op effect on instrumented Runtimes, whose
-  /// execution is serial by construction.
-  void set_scheduler_policy(sched::SchedPolicy p) {
-    if (sched_) sched_->set_policy(p);
-  }
   /// Whether this Runtime holds the obs tracing gate open (builder
   /// .tracing() or the DOPAR_TRACE environment variable).
   bool tracing() const { return obs_enable_.tracing(); }
@@ -1154,7 +1125,7 @@ class Runtime {
     // The scheduler exists even for serial / instrumented Runtimes (its
     // arena is simply empty): it is the submit() job queue either way.
     sched_ = std::make_unique<sched::Scheduler>(
-        session_ ? 1 : b.threads_, b.policy_, b.job_workers_);
+        session_ ? 1 : b.threads_, b.job_workers_);
   }
 
   /// Per-job seed stream: installed thread-locally for the duration of a
@@ -1207,10 +1178,8 @@ class Runtime {
 
   /// Run `f` inside this Runtime's execution environment: measurement
   /// session installed (serial analytic executor, serialized on the
-  /// session mutex), else handed to the scheduler, which applies the
-  /// configured policy — Exclusive serializes on its execution mutex and
-  /// runs the full arena; Sliced/Stealing lease a worker slice per call
-  /// so concurrent pipelines overlap.
+  /// session mutex), else handed to the scheduler, which runs it on the
+  /// shared arena alongside any concurrent calls.
   template <class F>
   void with_env(F&& f) {
     if (session_) {
@@ -1232,8 +1201,7 @@ class Runtime {
   obs::ScopedEnable obs_enable_;
   std::shared_ptr<const SorterBackend> backend_;
   /// Guards the measurement session (instrumented Runtimes execute
-  /// serially under it); native execution no longer takes a runtime-wide
-  /// lock here — serialization, if any, is the scheduler's policy.
+  /// serially under it); native execution takes no runtime-wide lock.
   mutable std::mutex exec_m_;
   std::unique_ptr<sim::Session> session_;
   /// Declared last on purpose: ~Scheduler drains still-queued jobs, and a

@@ -49,7 +49,7 @@ using rel::JoinOptions;
 using rel::JoinResult;
 // Serving layer (svc/service.hpp): dopar::Service batches many small sort
 // requests over one Runtime; its knobs stay namespaced (dopar::svc::Options,
-// dopar::svc::GovernorConfig, dopar::svc::SubmitTimeout).
+// dopar::svc::SubmitTimeout).
 using svc::Service;
 
 }  // namespace dopar

@@ -36,10 +36,9 @@ Pool*& Pool::current() {
   return p;
 }
 
-Pool::Pool(unsigned helpers, unsigned external_slots, bool share_idle)
+Pool::Pool(unsigned helpers, unsigned external_slots)
     : n_workers_(helpers),
-      n_external_(external_slots == 0 ? 1 : external_slots),
-      share_idle_(share_idle) {
+      n_external_(external_slots == 0 ? 1 : external_slots) {
   queues_.reserve(n_external_ + n_workers_);
   for (unsigned i = 0; i < n_external_ + n_workers_; ++i) {
     queues_.push_back(std::make_unique<WorkerQueue>());
@@ -62,16 +61,11 @@ Pool::~Pool() {
   for (auto& t : threads_) t.join();
 }
 
-int Pool::try_acquire_external_slot(uint32_t slice) {
-  if (slice != kSharedSlice) {
-    ever_sliced_.store(true, std::memory_order_relaxed);
-  }
+int Pool::try_acquire_external_slot() {
   std::lock_guard<std::mutex> lk(slots_m_);
   if (free_slots_.empty()) return -1;
   const int slot = free_slots_.back();
   free_slots_.pop_back();
-  queues_[static_cast<unsigned>(slot)]->slice.store(
-      slice, std::memory_order_release);
   return slot;
 }
 
@@ -85,26 +79,7 @@ void Pool::release_external_slot(int queue_idx) {
   }
 #endif
   std::lock_guard<std::mutex> lk(slots_m_);
-  queues_[static_cast<unsigned>(queue_idx)]->slice.store(
-      kSharedSlice, std::memory_order_release);
   free_slots_.push_back(queue_idx);
-}
-
-void Pool::set_share_idle(bool share) {
-  share_idle_.store(share, std::memory_order_relaxed);
-  // A newly permissive rule may let sleeping workers serve foreign slices.
-  if (share) sleep_cv_.notify_all();
-}
-
-void Pool::assign_worker_slice(unsigned w, uint32_t slice) {
-  assert(w < n_workers_);
-  if (slice != kSharedSlice) {
-    ever_sliced_.store(true, std::memory_order_relaxed);
-  }
-  queues_[n_external_ + w]->slice.store(slice, std::memory_order_release);
-  // The worker may be in its deep-sleep poll; a fresh assignment usually
-  // means fresh work is coming to the slice.
-  sleep_cv_.notify_all();
 }
 
 void Pool::push_local(Task* t) {
@@ -113,17 +88,7 @@ void Pool::push_local(Task* t) {
     std::lock_guard<std::mutex> lk(wq.m);
     wq.q.push_back(t);
   }
-  // Once the pool has ever been sliced, a single wake could land on a
-  // worker of a different slice that won't serve this task, so wake
-  // everyone (sleepers also self-wake on a 1 ms timeout, so this is
-  // latency, not correctness). A never-sliced pool — plain run() users
-  // and the scheduler's Exclusive policy — keeps the cheap classic
-  // notify_one on this hot path.
-  if (ever_sliced_.load(std::memory_order_relaxed)) {
-    sleep_cv_.notify_all();
-  } else {
-    sleep_cv_.notify_one();
-  }
+  sleep_cv_.notify_one();
 }
 
 bool Pool::pop_local_if(Task* t) {
@@ -150,31 +115,21 @@ Task* Pool::try_steal(unsigned self) {
   const bool mon = obs::metrics_on();
   if (mon) pm().steal_attempts.inc();
   const unsigned n = static_cast<unsigned>(queues_.size());
-  const uint32_t my_slice =
-      queues_[self]->slice.load(std::memory_order_acquire);
-  // Randomized victim selection per Blumofe-Leiserson, slice-mates first;
-  // a share_idle pool falls through to foreign slices when its own slice
-  // has run dry (idle capacity flows to busy pipelines).
+  // Randomized victim selection per Blumofe-Leiserson, over every queue.
   uint64_t seed = steal_seed_.fetch_add(0x9e3779b97f4a7c15ULL,
                                         std::memory_order_relaxed);
   seed ^= seed >> 33;
   seed *= 0xff51afd7ed558ccdULL;
-  const int passes = share_idle_.load(std::memory_order_relaxed) ? 2 : 1;
-  for (int pass = 0; pass < passes; ++pass) {
-    for (unsigned attempt = 0; attempt < n; ++attempt) {
-      const unsigned v = static_cast<unsigned>((seed + attempt) % n);
-      if (v == self) continue;
-      WorkerQueue& wq = *queues_[v];
-      const bool mate =
-          wq.slice.load(std::memory_order_acquire) == my_slice;
-      if (mate != (pass == 0)) continue;
-      std::lock_guard<std::mutex> lk(wq.m);
-      if (!wq.q.empty()) {
-        Task* t = wq.q.front();  // steal from the top: oldest, largest task
-        wq.q.pop_front();
-        if (mon) pm().steals.inc();
-        return t;
-      }
+  for (unsigned attempt = 0; attempt < n; ++attempt) {
+    const unsigned v = static_cast<unsigned>((seed + attempt) % n);
+    if (v == self) continue;
+    WorkerQueue& wq = *queues_[v];
+    std::lock_guard<std::mutex> lk(wq.m);
+    if (!wq.q.empty()) {
+      Task* t = wq.q.front();  // steal from the top: oldest, largest task
+      wq.q.pop_front();
+      if (mon) pm().steals.inc();
+      return t;
     }
   }
   return nullptr;

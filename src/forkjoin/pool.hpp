@@ -8,14 +8,11 @@
 // and a join either pops the un-stolen branch back (the common fast path) or
 // helps execute other tasks until the stolen branch completes.
 //
-// The pool is a sliceable *arena*: its queues carry a slice tag, and the
-// scheduler subsystem (sched/scheduler.hpp) leases disjoint subsets of the
-// workers to concurrent pipelines as PoolViews. Stealing is slice-local
-// first; a pool built with share_idle = true additionally lets a worker
-// whose slice has run dry steal from any other slice (work sharing), so
-// idle capacity flows to busy pipelines. A pool used without the scheduler
-// keeps every queue in the shared default slice and behaves exactly like
-// the classic single-arena pool.
+// The pool is the Runtime's one shared arena: every concurrent caller of
+// run() (a Runtime method on a client thread or a submitted job) claims
+// its own external participation queue, and every worker steals from
+// every queue, so concurrent pipelines' forks interleave freely across
+// the whole pool — the model's composition of nested and concurrent forks.
 //
 // The deques are mutex-protected rather than lock-free Chase-Lev: this keeps
 // the scheduler obviously correct, and the library's measured quantities
@@ -59,18 +56,10 @@ struct Task {
 
 class Pool {
  public:
-  /// The slice every queue starts in; plain run() participates here, and
-  /// workers return here when the scheduler releases their lease.
-  static constexpr uint32_t kSharedSlice = 0;
-
   /// Spawns `helpers` background worker threads plus `external_slots`
-  /// participation queues for non-worker threads (each concurrent run() /
-  /// PoolView::run() claims one for the call's duration). share_idle
-  /// selects the cross-slice stealing rule: true lets a worker whose own
-  /// slice has no work steal from any slice (the scheduler's "stealing"
-  /// policy), false keeps slices hard-partitioned ("sliced").
-  explicit Pool(unsigned helpers, unsigned external_slots = 1,
-                bool share_idle = true);
+  /// participation queues for non-worker threads (each concurrent run()
+  /// claims one for the call's duration).
+  explicit Pool(unsigned helpers, unsigned external_slots = 1);
   ~Pool();
 
   Pool(const Pool&) = delete;
@@ -79,12 +68,9 @@ class Pool {
   /// Total participants of a whole-arena run: worker threads + the one
   /// external caller (the historical meaning; Runtime::threads()).
   unsigned workers() const { return n_workers_ + 1; }
-  /// Background worker threads only.
-  unsigned worker_threads() const { return n_workers_; }
-  unsigned external_slots() const { return n_external_; }
 
   /// Execute `root` with the calling thread participating through a free
-  /// external slot of the shared slice (the whole free arena cooperates).
+  /// external slot (the whole arena cooperates).
   /// All forks performed inside have joined by the time this returns,
   /// whether it returns normally or by exception (retryable overflow
   /// events from the oblivious primitives unwind through here). If every
@@ -93,7 +79,7 @@ class Pool {
   template <class Root>
   void run(Root&& root) {
     obs::Span span("pool.run");
-    SlotGuard slot(*this, kSharedSlice);
+    SlotGuard slot(*this);
     root();
   }
 
@@ -143,36 +129,10 @@ class Pool {
 
   static bool on_worker_thread() { return tls_queue_id() >= 0; }
 
-  // ---- slice mechanism (policy lives in sched::Scheduler) ---------------
-
-  /// Claim a free external participation queue, tagged with `slice`.
-  /// Returns the queue index, or -1 when every slot is taken (callers
-  /// fall back to serial participation).
-  int try_acquire_external_slot(uint32_t slice);
-  /// Return a slot claimed by try_acquire_external_slot. The claiming
-  /// run() must have completed: the queue is empty by fork2's structure.
-  void release_external_slot(int queue_idx);
-  /// Re-tag worker `w` (in [0, worker_threads())) into `slice`. Takes
-  /// effect at the worker's next task lookup; a task it is already
-  /// executing finishes normally, so re-tagging is safe at any time.
-  void assign_worker_slice(unsigned w, uint32_t slice);
-  bool share_idle() const {
-    return share_idle_.load(std::memory_order_relaxed);
-  }
-  /// Switch the cross-slice stealing rule at runtime (the scheduler's
-  /// dynamic Sliced <-> Stealing transition). Takes effect at each
-  /// worker's next steal attempt; tasks already executing are unaffected,
-  /// so flipping under load is safe — a worker mid-steal may use the old
-  /// rule once, which costs at most one suboptimal victim choice.
-  void set_share_idle(bool share);
-
  private:
-  friend class PoolView;
-
   struct WorkerQueue {
     std::mutex m;
     std::deque<Task*> q;
-    std::atomic<uint32_t> slice{kSharedSlice};
   };
 
   /// Index into queues_ of the queue this thread pushes to; -1 when the
@@ -181,21 +141,15 @@ class Pool {
   /// belong to the worker threads.
   static int& tls_queue_id();
 
-  /// RAII external-slot claim used by run()/PoolView::run(): claims a
-  /// specific (or any free) slot and installs it as this thread's queue.
+  /// RAII external-slot claim used by run(): claims any free slot and
+  /// installs it as this thread's queue.
   struct SlotGuard {
     Pool& pool;
     int prev;
     int slot;
-    SlotGuard(Pool& p, uint32_t slice)
-        : pool(p), prev(tls_queue_id()),
-          slot(p.try_acquire_external_slot(slice)) {
+    explicit SlotGuard(Pool& p)
+        : pool(p), prev(tls_queue_id()), slot(p.try_acquire_external_slot()) {
       if (slot >= 0) tls_queue_id() = slot;
-    }
-    SlotGuard(Pool& p, int claimed_slot, bool)
-        : pool(p), prev(tls_queue_id()), slot(-1) {
-      // Slot already leased by the caller (PoolView): install, don't own.
-      if (claimed_slot >= 0) tls_queue_id() = claimed_slot;
     }
     ~SlotGuard() {
       tls_queue_id() = prev;
@@ -205,6 +159,12 @@ class Pool {
     SlotGuard& operator=(const SlotGuard&) = delete;
   };
 
+  /// Claim a free external participation queue. Returns the queue index,
+  /// or -1 when every slot is taken (run() then executes serially).
+  int try_acquire_external_slot();
+  /// Return a slot claimed by try_acquire_external_slot. The claiming
+  /// run() must have completed: the queue is empty by fork2's structure.
+  void release_external_slot(int queue_idx);
   void push_local(Task* t);
   bool pop_local_if(Task* t);
   Task* try_pop_local();
@@ -215,53 +175,14 @@ class Pool {
 
   unsigned n_workers_ = 0;
   unsigned n_external_ = 1;
-  std::atomic<bool> share_idle_{true};
   std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::vector<std::thread> threads_;
   std::atomic<bool> shutdown_{false};
-  /// Sticky: set the first time any queue is tagged with a non-shared
-  /// slice; never-sliced pools keep the cheap notify_one wake on push.
-  std::atomic<bool> ever_sliced_{false};
   std::mutex slots_m_;
   std::vector<int> free_slots_;
   std::mutex sleep_m_;
   std::condition_variable sleep_cv_;
   std::atomic<uint64_t> steal_seed_{0x9e3779b97f4a7c15ULL};
-};
-
-/// A leased view of a Pool: one external participation slot plus whatever
-/// workers the scheduler currently assigns to this view's slice. Fork-join
-/// roots submitted through run() execute against the slice — its workers
-/// steal the forks; under share_idle pools, idle workers of other slices
-/// pitch in too. Views are created and sized by sched::Scheduler; a
-/// default-constructed view runs its root serially (the no-pool fallback).
-class PoolView {
- public:
-  PoolView() = default;
-  PoolView(Pool* pool, int ext_slot, uint32_t slice)
-      : pool_(pool), ext_slot_(ext_slot), slice_(slice) {}
-
-  /// Execute `root` with the calling thread participating through the
-  /// view's external slot. Exactly Pool::run(), scoped to the slice.
-  template <class Root>
-  void run(Root&& root) {
-    obs::Span span("pool.run", "slice", slice_);
-    if (!pool_ || ext_slot_ < 0) {
-      root();
-      return;
-    }
-    Pool::SlotGuard slot(*pool_, ext_slot_, true);
-    root();
-  }
-
-  Pool* pool() const { return pool_; }
-  uint32_t slice() const { return slice_; }
-  bool participating() const { return pool_ && ext_slot_ >= 0; }
-
- private:
-  Pool* pool_ = nullptr;
-  int ext_slot_ = -1;
-  uint32_t slice_ = Pool::kSharedSlice;
 };
 
 /// RAII installer: makes `p` the current pool of this thread so that

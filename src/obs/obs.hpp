@@ -373,7 +373,7 @@ class Span {
   uint64_t t0_ = 0;
 };
 
-/// Record a zero-length instant event (e.g. a policy switch).
+/// Record a zero-length instant event (e.g. a job submission).
 inline void instant(const char* name, const char* k0 = nullptr,
                     uint64_t v0 = 0) {
   if (!tracing_on()) return;  // disabled: single relaxed-atomic branch

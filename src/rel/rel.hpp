@@ -11,8 +11,8 @@
 //   * band join      — L ⋈ R on |l.key - r.key| <= band,
 //   * group-by       — per-key Sum / Count / Min / Max aggregation,
 //
-// all as compositions of the existing engines, so the scheduler policies
-// and the SIMD kernel layer apply automatically (group-by also runs on
+// all as compositions of the existing engines, so the shared fork-join
+// arena and the SIMD kernel layer apply automatically (group-by also runs on
 // every registered sorter backend). The public entry points are the
 // Runtime methods (core/runtime.hpp):
 //

@@ -1,7 +1,6 @@
 #include "sched/scheduler.hpp"
 
-#include <algorithm>
-#include <cassert>
+#include <atomic>
 #include <stdexcept>
 
 namespace dopar::sched {
@@ -28,29 +27,17 @@ obs::Counter& jobs_total() {
 }
 }  // namespace
 
-Scheduler::Scheduler(unsigned threads, SchedPolicy policy,
-                     size_t max_job_workers)
-    : policy_(policy),
-      id_(next_scheduler_id()),
+Scheduler::Scheduler(unsigned threads, size_t max_job_workers)
+    : id_(next_scheduler_id()),
       max_job_workers_(max_job_workers == 0 ? 1 : max_job_workers) {
   if (threads > 1) {
-    // Enough external slots for every concurrent lease holder: the
+    // Enough external slots for every concurrent primitive call: the
     // bounded job workers plus direct method calls from client threads.
-    // On exhaustion a lease degrades to serial participation (correct,
+    // On exhaustion a call degrades to serial participation (correct,
     // just slower), so the headroom is latency, not correctness.
     const unsigned slots = static_cast<unsigned>(max_job_workers_) + 4;
-    pool_ = std::make_unique<fj::Pool>(threads - 1, slots,
-                                       policy == SchedPolicy::Stealing);
-    free_workers_.reserve(threads - 1);
-    for (unsigned w = 0; w < threads - 1; ++w) free_workers_.push_back(w);
+    pool_ = std::make_unique<fj::Pool>(threads - 1, slots);
   }
-}
-
-void Scheduler::set_policy(SchedPolicy p) {
-  policy_.store(p, std::memory_order_release);
-  // Keep the pool's cross-slice stealing rule in step: Stealing is the
-  // only policy whose leases expect idle capacity to flow between slices.
-  if (pool_) pool_->set_share_idle(p == SchedPolicy::Stealing);
 }
 
 Scheduler::~Scheduler() {
@@ -60,63 +47,6 @@ Scheduler::~Scheduler() {
   }
   jobs_cv_.notify_all();
   for (std::thread& t : job_threads_) t.join();
-  assert(leases_.empty() && "scheduler destroyed with live slice leases");
-}
-
-fj::PoolView Scheduler::lease_acquire() {
-  std::lock_guard<std::mutex> lk(lease_m_);
-  const uint32_t slice = next_slice_++;
-  if (next_slice_ == fj::Pool::kSharedSlice) ++next_slice_;  // wrap: skip 0
-  const int ext = pool_->try_acquire_external_slot(slice);
-  leases_.push_back(ActiveLease{slice, ext, {}});
-  rebalance_locked();
-  return fj::PoolView(pool_.get(), ext, slice);
-}
-
-void Scheduler::lease_release(uint32_t slice) {
-  std::lock_guard<std::mutex> lk(lease_m_);
-  auto it = std::find_if(leases_.begin(), leases_.end(),
-                         [&](const ActiveLease& l) { return l.slice == slice; });
-  assert(it != leases_.end());
-  for (unsigned w : it->workers) {
-    pool_->assign_worker_slice(w, fj::Pool::kSharedSlice);
-    free_workers_.push_back(w);
-  }
-  if (it->ext_slot >= 0) pool_->release_external_slot(it->ext_slot);
-  leases_.erase(it);
-  rebalance_locked();
-}
-
-void Scheduler::rebalance_locked() {
-  // Repartition the arena's workers W/n-ish across the n active leases.
-  // Workers keep their current lease where possible (minimal re-tagging);
-  // surplus flows through free_workers_ into under-provisioned leases. A
-  // re-tagged worker finishes the task it is executing and serves its new
-  // slice from the next lookup on — no synchronization with the workers
-  // themselves is needed (fork2's join always has pop access to its own
-  // queue, so a computation never strands on a re-tag).
-  const size_t n = leases_.size();
-  if (n == 0) return;  // free workers already re-tagged to the shared slice
-  const unsigned W = pool_->worker_threads();
-  for (size_t i = 0; i < n; ++i) {
-    const size_t target = W / n + (i < W % n ? 1 : 0);
-    ActiveLease& l = leases_[i];
-    while (l.workers.size() > target) {
-      const unsigned w = l.workers.back();
-      l.workers.pop_back();
-      free_workers_.push_back(w);
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    const size_t target = W / n + (i < W % n ? 1 : 0);
-    ActiveLease& l = leases_[i];
-    while (l.workers.size() < target && !free_workers_.empty()) {
-      const unsigned w = free_workers_.back();
-      free_workers_.pop_back();
-      pool_->assign_worker_slice(w, l.slice);
-      l.workers.push_back(w);
-    }
-  }
 }
 
 void Scheduler::enqueue(std::function<void()> job,

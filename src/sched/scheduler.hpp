@@ -1,38 +1,26 @@
 #pragma once
-// dopar::sched — the work-sharing scheduler subsystem behind the Runtime.
+// dopar::sched — the scheduler subsystem behind the Runtime.
 //
-// The paper states its algorithms in the binary fork-join model, where
-// nested parallelism composes freely. The Runtime façade used to undercut
-// that: every primitive call inside a submitted job grabbed one
-// runtime-wide execution mutex, so two concurrently submitted pipelines
-// serialized their sorts and ORBA passes. The Scheduler closes that gap:
-// it owns the Runtime's fork-join arena (fj::Pool) and its job workers,
-// and executes each pipeline's primitives against a *slice* of the arena
-// (fj::PoolView) instead of the whole pool, under one of three policies:
-//
-//   SchedPolicy::Exclusive  one primitive at a time on the full arena —
-//                           the classic pre-scheduler behavior (default).
-//   SchedPolicy::Sliced     concurrent primitives each lease a disjoint
-//                           worker slice (arena hard-partitioned across
-//                           the active pipelines; leases rebalance as
-//                           pipelines come and go).
-//   SchedPolicy::Stealing   sliced, plus work sharing: a worker whose own
-//                           slice runs dry steals from any busy slice, so
-//                           idle capacity always flows to busy pipelines.
+// The paper states its algorithms in the binary fork-join model over one
+// randomized work-stealing scheduler (Section A.2), where nested and
+// concurrent forks compose freely. The Scheduler owns the Runtime's one
+// fork-join arena (fj::Pool) and runs every primitive call on it: each
+// concurrent caller claims its own external participation queue, and
+// every worker steals from every queue, so the primitives of concurrently
+// submitted pipelines overlap on the whole arena with no lock between
+// them.
 //
 // The Scheduler also owns the submit() machinery (bounded lazily-spawned
 // job workers, FIFO queue, drain-on-destroy) that used to live inside
 // Runtime, and stamps each job's JobState (sched/job.hpp) so a Future can
 // detect the wait-from-a-job-on-a-queued-job deadlock and throw.
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -43,28 +31,21 @@
 
 namespace dopar::sched {
 
-/// How a Runtime schedules the primitives of concurrent pipelines.
-enum class SchedPolicy { Exclusive, Sliced, Stealing };
-
-constexpr std::string_view to_string(SchedPolicy p) {
-  switch (p) {
-    case SchedPolicy::Exclusive: return "exclusive";
-    case SchedPolicy::Sliced: return "sliced";
-    case SchedPolicy::Stealing: return "stealing";
-  }
-  return "?";
-}
+/// Retained only so existing Runtime::Builder::scheduler() callers
+/// compile: there is one schedule, the shared arena, and the builder
+/// ignores the value.
+enum class SchedPolicy { Stealing };
 
 class Scheduler {
  public:
   /// `threads` is the Runtime's total parallelism (calling thread
   /// included): threads > 1 builds an arena with threads-1 workers;
   /// threads <= 1 builds no arena and every primitive runs serially on
-  /// its calling thread (jobs still overlap under non-exclusive
-  /// policies). `max_job_workers` caps the concurrently executing
-  /// submit() jobs (floored at 1; default kMaxJobWorkers).
-  Scheduler(unsigned threads, SchedPolicy policy,
-            size_t max_job_workers = kMaxJobWorkers);
+  /// its calling thread (jobs still overlap). `max_job_workers` caps the
+  /// concurrently executing submit() jobs (floored at 1; default
+  /// kMaxJobWorkers).
+  explicit Scheduler(unsigned threads,
+                     size_t max_job_workers = kMaxJobWorkers);
 
   /// Drains every queued job (executing it), then joins the job workers.
   /// The arena is torn down last, after no job can touch it.
@@ -73,21 +54,6 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  SchedPolicy policy() const {
-    return policy_.load(std::memory_order_relaxed);
-  }
-  /// Retarget the scheduling policy at runtime (the serving layer's
-  /// adaptive governor drives this from observed load). Safe under live
-  /// primitives: each run_primitive() call samples the policy once at
-  /// entry and follows that path to completion, and the two paths are
-  /// individually safe against each other — an Exclusive-path primitive
-  /// holds the execution mutex while a Sliced-path primitive leases slice
-  /// workers. The only transition cost is transient: primitives admitted
-  /// under different policies may briefly overlap (weakening Exclusive's
-  /// one-at-a-time promise for calls already in flight) or share the
-  /// arena suboptimally. WHAT a primitive computes never depends on the
-  /// policy, so results and replay digests are unaffected.
-  void set_policy(SchedPolicy p);
   fj::Pool* pool() { return pool_.get(); }
   /// Total parallelism of one full-arena primitive (1 = serial).
   unsigned parallelism() const { return pool_ ? pool_->workers() : 1; }
@@ -97,37 +63,19 @@ class Scheduler {
 
   // ---- primitive execution (Runtime::with_env) ------------------------
 
-  /// Execute one oblivious-primitive body under the policy. Exclusive:
-  /// serialize on the scheduler's execution mutex and run on the full
-  /// arena. Sliced/Stealing: no global lock — lease a slice of the arena
-  /// for the duration of the call, so primitives of concurrent pipelines
-  /// genuinely overlap. The pool is installed thread-locally either way
-  /// (fj::invoke dispatch).
+  /// Execute one oblivious-primitive body on the shared arena, with the
+  /// pool installed thread-locally (fj::invoke dispatch). Concurrent
+  /// callers each participate through their own external slot; a serial
+  /// scheduler runs the body on the caller.
   template <class F>
   void run_primitive(F&& f) {
-    // Sample once: a concurrent set_policy must not switch paths mid-call
-    // (the Exclusive path must unlock the mutex it locked).
-    const SchedPolicy p = policy_.load(std::memory_order_acquire);
-    // Spans the whole admission: Exclusive-mutex wait and lease
-    // acquisition both show up as the gap before the nested pool.run span.
-    obs::Span span("sched.primitive", "policy", static_cast<uint64_t>(p));
-    if (p == SchedPolicy::Exclusive) {
-      std::lock_guard<std::mutex> lk(exec_m_);
-      if (pool_) {
-        fj::ScopedPool guard(*pool_);
-        pool_->run(f);
-      } else {
-        f();
-      }
-      return;
-    }
+    obs::Span span("sched.primitive");
     if (!pool_) {
-      f();  // serial runtime: nothing to lease, nothing to serialize on
+      f();
       return;
     }
-    Lease lease(*this);
     fj::ScopedPool guard(*pool_);
-    lease.view().run(f);
+    pool_->run(f);
   }
 
   // ---- job execution (Runtime::submit) --------------------------------
@@ -146,61 +94,11 @@ class Scheduler {
   void enqueue(std::function<void()> job, std::shared_ptr<JobState> state);
 
  private:
-  /// RAII slice lease for one primitive call: on acquire the scheduler
-  /// repartitions the arena's workers across all active leases (W/n
-  /// each); on release the workers flow back to the remaining leases.
-  class Lease {
-   public:
-    explicit Lease(Scheduler& s)
-        : t0_(obs::metrics_on() ? obs::now_ns() : 0),
-          sched_(s),
-          view_(s.lease_acquire()) {}
-    ~Lease() {
-      sched_.lease_release(view_.slice());
-      // t0_ == 0: metrics were off at acquisition — skip rather than
-      // record a nonsense lifetime if they flipped on mid-lease.
-      if (t0_ != 0) lease_lifetime_ns_hist().observe(obs::now_ns() - t0_);
-    }
-    fj::PoolView& view() { return view_; }
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-
-   private:
-    obs::Span span_{"sched.lease"};  ///< declared first: covers release
-    uint64_t t0_;
-    Scheduler& sched_;
-    fj::PoolView view_;
-  };
-
-  /// Lifetimes of slice leases (acquire → release), ns. Function-local
-  /// static so the registry entry is only created on first enabled use.
-  static obs::Histogram& lease_lifetime_ns_hist() {
-    static obs::Histogram& h =
-        obs::Registry::global().histogram("dopar_sched_lease_lifetime_ns");
-    return h;
-  }
-
-  fj::PoolView lease_acquire();
-  void lease_release(uint32_t slice);
-  void rebalance_locked();
   void job_loop();
 
-  std::atomic<SchedPolicy> policy_;
   const uint64_t id_;
   const size_t max_job_workers_;
   std::unique_ptr<fj::Pool> pool_;
-  std::mutex exec_m_;  ///< Exclusive policy: the classic primitive mutex.
-
-  // Slice leases (Sliced/Stealing policies).
-  struct ActiveLease {
-    uint32_t slice;
-    int ext_slot;
-    std::vector<unsigned> workers;
-  };
-  std::mutex lease_m_;
-  std::vector<ActiveLease> leases_;
-  std::vector<unsigned> free_workers_;
-  uint32_t next_slice_ = fj::Pool::kSharedSlice + 1;
 
   // Job queue + bounded lazily-spawned job workers.
   struct QueuedJob {

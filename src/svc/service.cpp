@@ -56,18 +56,11 @@ obs::Histogram& batch_occupancy_hist() {
       obs::Registry::global().histogram("dopar_svc_batch_occupancy");
   return h;
 }
-
-obs::Counter& policy_switches_total() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("dopar_svc_policy_switches_total");
-  return c;
-}
 }  // namespace
 
 Service::Service(Runtime& rt, Options opts)
     : rt_(rt),
       opts_(std::move(opts)),
-      governor_(opts_.governor, rt.scheduler_policy()),
       obs_enable_(opts_.metrics, /*tracing=*/false) {
   // Baseline the latency histograms so stats() reports only THIS
   // Service's observations (the registry outlives any one Service).
@@ -604,7 +597,6 @@ void Service::dispatcher_loop() {
     if (obs::metrics_on()) batch_occupancy_hist().observe(m);
     stats_.inflight_high_water =
         std::max(stats_.inflight_high_water, inflight_);
-    governor_observe_locked();
     lk.unlock();
     cv_space_.notify_all();
     rt_.submit([this, batch] {
@@ -641,7 +633,6 @@ void Service::run_batch(Batch& b) {
   }
   std::lock_guard<std::mutex> lk(m_);
   --inflight_;
-  governor_observe_locked();
   cv_work_.notify_all();
 }
 
@@ -818,20 +809,6 @@ void Service::observe_latency(const PendingReq& r) const {
   lat_hist(size_t(r.kind))
       .observe(static_cast<uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count()));
-}
-
-void Service::governor_observe_locked() {
-  // Keyed to the Runtime's ACTUAL policy: if a user flipped
-  // set_scheduler_policy directly, the next observation reasserts the
-  // governed policy instead of silently running on the foreign one.
-  if (governor_.observe_actual(queue_.size(), inflight_,
-                               rt_.scheduler_policy())) {
-    ++stats_.policy_switches;
-    if (obs::metrics_on()) policy_switches_total().inc();
-    obs::instant("svc.policy_switch", "policy",
-                 static_cast<uint64_t>(governor_.current()));
-    rt_.set_scheduler_policy(governor_.current());
-  }
 }
 
 }  // namespace dopar::svc

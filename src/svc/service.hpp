@@ -5,7 +5,7 @@
 // latency: at serving-size inputs (hundreds to thousands of keys) the
 // fixed cost of the Theorem 3.2 pipeline dominates, so submitting each
 // small request as its own pipeline wastes almost all of the machine. The
-// Service closes that gap with three cooperating mechanisms:
+// Service closes that gap with two cooperating mechanisms:
 //
 //  1. COALESCER. Accepted requests wait in a bounded queue for a short
 //     window (Options::window) or until a size/count threshold fires;
@@ -49,11 +49,6 @@
 //     unset) and throw SubmitTimeout on expiry. Submitting to a stopped
 //     Service throws std::logic_error.
 //
-//  3. ADAPTIVE POLICY GOVERNOR. After every dispatch and completion the
-//     Service re-decides the Runtime's scheduler policy (Exclusive <->
-//     Sliced <-> Stealing) from queue depth and in-flight batch count
-//     (svc/governor.hpp), via Runtime::set_scheduler_policy.
-//
 // Batches execute as Runtime::submit jobs, so batch concurrency is capped
 // by Runtime::Builder::max_job_workers and Options::max_inflight_batches.
 // Destruction drains: queued requests are dispatched (ignoring the
@@ -83,7 +78,6 @@
 #include "obs/obs.hpp"
 #include "rel/rel.hpp"
 #include "svc/coalesce.hpp"
-#include "svc/governor.hpp"
 
 namespace dopar::svc {
 
@@ -115,7 +109,6 @@ struct Options {
   /// Seed of the per-request tie-normalization streams. Two Services with
   /// the same seed serve identical outputs for identical requests.
   uint64_t seed = 0x5e4c'5eedULL;
-  GovernorConfig governor{};
   /// Sorter backend for coalesced batches — the composite sort and every
   /// internal sort of the batched group-by plan ("" = the Runtime's
   /// configured backend; joins read no backend). Must name a registered
@@ -173,7 +166,9 @@ class Service {
     std::array<uint64_t, 17> batch_size_hist{};
     size_t queue_depth_high_water = 0;
     size_t inflight_high_water = 0;
-    uint64_t policy_switches = 0;  ///< governor-applied policy changes
+    /// Always 0: the Runtime has one schedule. Kept so existing readers
+    /// of the field compile.
+    uint64_t policy_switches = 0;
     std::array<KindStats, kNumKinds> kinds{};  ///< per-kind breakdown
   };
 
@@ -365,13 +360,11 @@ class Service {
   SortOptions batch_options(const Batch& b) const;
   void complete(Batch& b, PendingReq& r, std::vector<uint64_t> keys,
                 std::vector<uint32_t> order);
-  void governor_observe_locked();
   /// Record one finished request's enqueue->ready latency (metrics-gated).
   void observe_latency(const PendingReq& r) const;
 
   Runtime& rt_;
   Options opts_;
-  Governor governor_;
   /// Holds the obs metrics gate open while the Service lives
   /// (Options::metrics; tracing stays governed by the Runtime).
   obs::ScopedEnable obs_enable_;

@@ -1,22 +1,19 @@
 // Unit tests: the dopar::sched scheduler subsystem — concurrent pipelines
-// on one Runtime under the three policies (exclusive / sliced / stealing).
+// on one Runtime's shared fork-join arena.
 //
 // What is pinned here:
 //   * per-pipeline determinism under contention: every submitted job draws
 //     from its own seed stream (indexed by submission order), so a
 //     pipeline's outputs replay bit-for-bit whether the pipelines run one
-//     at a time or all at once, on 1 thread or 8, under any policy;
-//   * cross-policy parity: exclusive, sliced and stealing produce
-//     identical per-pipeline results (the policy changes WHERE primitives
-//     run, never WHAT they compute);
-//   * genuine primitive overlap: under sliced/stealing, two pipelines'
-//     *sorts* (not just their glue) are in flight simultaneously — probed
-//     with rendezvous backends — which the exclusive mutex made impossible;
+//     at a time or all at once, on 1 thread or 4;
+//   * genuine primitive overlap: two pipelines' *sorts* (not just their
+//     glue) are in flight simultaneously on a default-built Runtime —
+//     probed with rendezvous backends;
 //   * the Future-blocking rule: waiting from inside a job on a job that
 //     has not started throws std::logic_error instead of deadlocking;
-//   * wall-clock: with >= 4 hardware threads, two concurrent pipelines
-//     under stealing finish faster than the same pipelines serialized by
-//     the exclusive policy.
+//   * wall-clock: with >= 4 hardware threads, two pipelines submitted
+//     together finish faster than the same pipelines submitted and
+//     joined one at a time.
 
 #include <gtest/gtest.h>
 
@@ -35,10 +32,6 @@ namespace dopar {
 namespace {
 
 using obl::Elem;
-using sched::SchedPolicy;
-
-constexpr SchedPolicy kAllPolicies[] = {
-    SchedPolicy::Exclusive, SchedPolicy::Sliced, SchedPolicy::Stealing};
 
 uint64_t fnv1a(uint64_t h, uint64_t x) {
   for (int b = 0; b < 8; ++b) {
@@ -81,13 +74,9 @@ uint64_t pipeline_digest(Runtime& rt, uint64_t which) {
 /// them all before joining any; otherwise each is submitted and joined in
 /// turn (no contention). Submission order — and therefore each pipeline's
 /// seed stream — is identical either way.
-std::vector<uint64_t> run_pipelines(SchedPolicy policy, unsigned threads,
-                                    size_t npipes, bool concurrent) {
-  auto rt = Runtime::builder()
-                .threads(threads)
-                .seed(424242)
-                .scheduler(policy)
-                .build();
+std::vector<uint64_t> run_pipelines(unsigned threads, size_t npipes,
+                                    bool concurrent) {
+  auto rt = Runtime::builder().threads(threads).seed(424242).build();
   std::vector<uint64_t> digests(npipes);
   if (concurrent) {
     std::vector<Future<uint64_t>> futs;
@@ -106,26 +95,22 @@ std::vector<uint64_t> run_pipelines(SchedPolicy policy, unsigned threads,
   return digests;
 }
 
-// ---- per-pipeline determinism + cross-policy parity ----------------------
+// ---- per-pipeline determinism -------------------------------------------
 
-TEST(SchedDeterminism, DigestReplayUnderContentionAndAcrossPolicies) {
+TEST(SchedDeterminism, DigestReplayUnderContention) {
   constexpr size_t npipes = 3;
-  // Golden: pipelines one at a time, serial runtime, default policy.
-  const auto golden =
-      run_pipelines(SchedPolicy::Exclusive, 1, npipes, false);
+  // Golden: pipelines one at a time on a serial runtime.
+  const auto golden = run_pipelines(1, npipes, false);
   for (size_t k = 0; k < npipes; ++k) {
     EXPECT_NE(golden[k], 0u);
     for (size_t j = k + 1; j < npipes; ++j) {
       EXPECT_NE(golden[k], golden[j]);  // distinct streams per pipeline
     }
   }
-  for (SchedPolicy policy : kAllPolicies) {
-    for (unsigned threads : {1u, 4u}) {
-      for (bool concurrent : {false, true}) {
-        EXPECT_EQ(run_pipelines(policy, threads, npipes, concurrent), golden)
-            << "policy=" << sched::to_string(policy)
-            << " threads=" << threads << " concurrent=" << concurrent;
-      }
+  for (unsigned threads : {1u, 4u}) {
+    for (bool concurrent : {false, true}) {
+      EXPECT_EQ(run_pipelines(threads, npipes, concurrent), golden)
+          << "threads=" << threads << " concurrent=" << concurrent;
     }
   }
 }
@@ -167,9 +152,9 @@ TEST(SchedDeterminism, JobStreamsDoNotDisturbTheSynchronousStream) {
 // ---- genuine primitive overlap (the tentpole's acceptance) ---------------
 
 /// Rendezvous probe: two backends that flag their arrival inside a sort
-/// and wait (bounded) for the other side. Under sliced/stealing the two
+/// and wait (bounded) for the other side. On the shared arena the two
 /// pipelines' sorts are in flight together, so both flags are up while
-/// both sorts run; under exclusive the execution mutex makes that
+/// both sorts run; a runtime-wide execution lock would make that
 /// impossible. Sorts may be invoked from forked branches on any worker,
 /// so everything is atomic and idempotent.
 struct RendezvousState {
@@ -236,94 +221,83 @@ TEST(SchedOverlap, ConcurrentPipelinesSortSimultaneously) {
   register_backend("rv_b", [](const BackendConfig&) {
     return std::make_shared<const RendezvousBackend>(false);
   });
-  for (SchedPolicy policy : {SchedPolicy::Sliced, SchedPolicy::Stealing}) {
-    rv().reset();
-    auto rt =
-        Runtime::builder().threads(4).seed(3).scheduler(policy).build();
-    auto run_sort = [&rt](const char* backend) {
-      auto in = test::random_elems(512, 5);
-      vec<Elem> v(in);
-      rt.sort(v.s(), SortOptions{.backend = backend});
-      return test::sorted_by_key(v.underlying());
-    };
-    auto fa = rt.submit([&] { return run_sort("rv_a"); });
-    auto fb = rt.submit([&] { return run_sort("rv_b"); });
-    EXPECT_TRUE(fa.get());
-    EXPECT_TRUE(fb.get());
-    EXPECT_TRUE(rv().saw_a.load())
-        << "pipeline A never observed pipeline B sorting concurrently "
-           "under " << sched::to_string(policy);
-    EXPECT_TRUE(rv().saw_b.load())
-        << "pipeline B never observed pipeline A sorting concurrently "
-           "under " << sched::to_string(policy);
-  }
+  rv().reset();
+  auto rt = Runtime::builder().threads(4).seed(3).build();
+  auto run_sort = [&rt](const char* backend) {
+    auto in = test::random_elems(512, 5);
+    vec<Elem> v(in);
+    rt.sort(v.s(), SortOptions{.backend = backend});
+    return test::sorted_by_key(v.underlying());
+  };
+  auto fa = rt.submit([&] { return run_sort("rv_a"); });
+  auto fb = rt.submit([&] { return run_sort("rv_b"); });
+  EXPECT_TRUE(fa.get());
+  EXPECT_TRUE(fb.get());
+  EXPECT_TRUE(rv().saw_a.load())
+      << "pipeline A never observed pipeline B sorting concurrently";
+  EXPECT_TRUE(rv().saw_b.load())
+      << "pipeline B never observed pipeline A sorting concurrently";
 }
 
 // ---- correctness under sustained contention ------------------------------
 
 TEST(SchedStress, ManyMixedPipelinesAndDirectCallsStayCorrect) {
-  for (SchedPolicy policy : kAllPolicies) {
-    auto rt =
-        Runtime::builder().threads(4).seed(11).scheduler(policy).build();
+  auto rt = Runtime::builder().threads(4).seed(11).build();
 
-    // A small graph with a known answer for the CC/MSF pipelines.
-    constexpr size_t gn = 64;
-    std::vector<GEdge> edges;
-    for (uint32_t v = 0; v < gn; ++v) {
-      edges.push_back(GEdge{v, static_cast<uint32_t>((v + 1) % gn),
-                            static_cast<uint64_t>(2 * v + 1)});
-    }
-    const auto cc_want = insecure::cc_oracle(gn, edges);
-    const uint64_t msf_want = insecure::msf_weight_oracle(gn, edges);
-
-    std::vector<Future<bool>> futs;
-    for (int k = 0; k < 8; ++k) {
-      if (k % 2 == 0) {
-        futs.push_back(rt.submit([&, k] {
-          auto labels = rt.connected_components(gn, edges);
-          auto in = test::random_elems(700 + static_cast<size_t>(k), k);
-          vec<Elem> v(in);
-          rt.sort(v.s());
-          return labels == cc_want && test::sorted_by_key(v.underlying()) &&
-                 test::same_keys(v.underlying(), in);
-        }));
-      } else {
-        futs.push_back(rt.submit([&, k] {
-          auto flags = rt.msf(gn, edges);
-          uint64_t total = 0;
-          for (size_t e = 0; e < edges.size(); ++e) {
-            if (flags[e]) total += edges[e].w;
-          }
-          auto in = test::random_elems(400 + static_cast<size_t>(k), k);
-          vec<Elem> v(in);
-          rt.sort(v.s(), SortOptions{.backend = "odd_even"});
-          return total == msf_want && test::sorted_by_key(v.underlying());
-        }));
-      }
-    }
-    // Direct calls from plain client threads race the submitted jobs.
-    std::atomic<bool> direct_ok{true};
-    std::thread t1([&] {
-      auto in = test::random_elems(900, 77);
-      vec<Elem> v(in);
-      rt.sort(v.s());
-      if (!test::sorted_by_key(v.underlying())) direct_ok = false;
-    });
-    std::thread t2([&] {
-      vec<Elem> in(test::random_elems(600, 78)), out(600);
-      rt.permute(in.s(), out.s());
-      if (!test::same_keys(out.underlying(),
-                           test::random_elems(600, 78))) {
-        direct_ok = false;
-      }
-    });
-    for (auto& f : futs) {
-      EXPECT_TRUE(f.get()) << sched::to_string(policy);
-    }
-    t1.join();
-    t2.join();
-    EXPECT_TRUE(direct_ok.load()) << sched::to_string(policy);
+  // A small graph with a known answer for the CC/MSF pipelines.
+  constexpr size_t gn = 64;
+  std::vector<GEdge> edges;
+  for (uint32_t v = 0; v < gn; ++v) {
+    edges.push_back(GEdge{v, static_cast<uint32_t>((v + 1) % gn),
+                          static_cast<uint64_t>(2 * v + 1)});
   }
+  const auto cc_want = insecure::cc_oracle(gn, edges);
+  const uint64_t msf_want = insecure::msf_weight_oracle(gn, edges);
+
+  std::vector<Future<bool>> futs;
+  for (int k = 0; k < 8; ++k) {
+    if (k % 2 == 0) {
+      futs.push_back(rt.submit([&, k] {
+        auto labels = rt.connected_components(gn, edges);
+        auto in = test::random_elems(700 + static_cast<size_t>(k), k);
+        vec<Elem> v(in);
+        rt.sort(v.s());
+        return labels == cc_want && test::sorted_by_key(v.underlying()) &&
+               test::same_keys(v.underlying(), in);
+      }));
+    } else {
+      futs.push_back(rt.submit([&, k] {
+        auto flags = rt.msf(gn, edges);
+        uint64_t total = 0;
+        for (size_t e = 0; e < edges.size(); ++e) {
+          if (flags[e]) total += edges[e].w;
+        }
+        auto in = test::random_elems(400 + static_cast<size_t>(k), k);
+        vec<Elem> v(in);
+        rt.sort(v.s(), SortOptions{.backend = "odd_even"});
+        return total == msf_want && test::sorted_by_key(v.underlying());
+      }));
+    }
+  }
+  // Direct calls from plain client threads race the submitted jobs.
+  std::atomic<bool> direct_ok{true};
+  std::thread t1([&] {
+    auto in = test::random_elems(900, 77);
+    vec<Elem> v(in);
+    rt.sort(v.s());
+    if (!test::sorted_by_key(v.underlying())) direct_ok = false;
+  });
+  std::thread t2([&] {
+    vec<Elem> in(test::random_elems(600, 78)), out(600);
+    rt.permute(in.s(), out.s());
+    if (!test::same_keys(out.underlying(), test::random_elems(600, 78))) {
+      direct_ok = false;
+    }
+  });
+  for (auto& f : futs) EXPECT_TRUE(f.get());
+  t1.join();
+  t2.join();
+  EXPECT_TRUE(direct_ok.load());
 }
 
 // ---- the Future-blocking rule --------------------------------------------
@@ -425,9 +399,10 @@ TEST(SchedWallClock, TwoPipelinesBeatSerializedExecution) {
   }
   constexpr size_t n = 1 << 16;
   constexpr int sorts_per_pipe = 3;
-  auto wall_ms = [&](SchedPolicy policy) {
-    auto rt =
-        Runtime::builder().threads(4).seed(5).scheduler(policy).build();
+  // Both pipelines submitted together, then joined (`concurrent`), or
+  // each submitted and joined before the next (`serial`).
+  auto wall_ms = [&](bool concurrent) {
+    auto rt = Runtime::builder().threads(4).seed(5).build();
     auto pipeline = [&rt](uint64_t seed) {
       for (int s = 0; s < sorts_per_pipe; ++s) {
         auto in = test::random_elems(n, seed + static_cast<uint64_t>(s));
@@ -437,10 +412,15 @@ TEST(SchedWallClock, TwoPipelinesBeatSerializedExecution) {
       return true;
     };
     const auto t0 = std::chrono::steady_clock::now();
-    auto fa = rt.submit([&] { return pipeline(1); });
-    auto fb = rt.submit([&] { return pipeline(2); });
-    EXPECT_TRUE(fa.get());
-    EXPECT_TRUE(fb.get());
+    if (concurrent) {
+      auto fa = rt.submit([&] { return pipeline(1); });
+      auto fb = rt.submit([&] { return pipeline(2); });
+      EXPECT_TRUE(fa.get());
+      EXPECT_TRUE(fb.get());
+    } else {
+      EXPECT_TRUE(rt.submit([&] { return pipeline(1); }).get());
+      EXPECT_TRUE(rt.submit([&] { return pipeline(2); }).get());
+    }
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - t0)
         .count();
@@ -449,13 +429,14 @@ TEST(SchedWallClock, TwoPipelinesBeatSerializedExecution) {
   // Timing under load is noisy: give the overlap three chances to show
   // (it shows on the first on an idle machine).
   bool beat = false;
-  double ex = 0, st = 0;
+  double serial = 0, concurrent = 0;
   for (int attempt = 0; attempt < 3 && !beat; ++attempt) {
-    ex = wall_ms(SchedPolicy::Exclusive);
-    st = wall_ms(SchedPolicy::Stealing);
-    beat = st < ex;
+    serial = wall_ms(false);
+    concurrent = wall_ms(true);
+    beat = concurrent < serial;
   }
-  EXPECT_TRUE(beat) << "stealing " << st << " ms vs exclusive " << ex
+  EXPECT_TRUE(beat) << "concurrent " << concurrent << " ms vs serial "
+                    << serial
                     << " ms: concurrent pipelines did not beat serialized "
                        "execution";
 }

@@ -1,7 +1,7 @@
 // Serving-layer tests: coalescing determinism (byte-identical solo vs
 // coalesced outputs, trace-digest replay), admission control and
-// backpressure, the adaptive policy governor, drain-on-destroy, and the
-// configurable job-worker cap.
+// backpressure, a deep queue under sustained load, drain-on-destroy, and
+// the configurable job-worker cap.
 
 #include <gtest/gtest.h>
 
@@ -288,43 +288,6 @@ TEST(Service, OversizeRequestDoesNotTripThresholds) {
             8u);
 }
 
-TEST(Governor, ObserveActualDetectsForeignPolicy) {
-  // Regression: observing against the governor's own memory desyncs after
-  // a direct Runtime::set_scheduler_policy — the decision hasn't changed,
-  // so observe() returns false and the foreign policy sticks.
-  dopar::svc::Governor g;  // initial Exclusive
-  EXPECT_FALSE(g.observe(0, 0));  // decision Exclusive, memory Exclusive
-  // The runtime was flipped to Stealing behind the governor's back:
-  EXPECT_TRUE(g.observe_actual(0, 0, dopar::SchedPolicy::Stealing));
-  EXPECT_EQ(g.current(), dopar::SchedPolicy::Exclusive);  // to reapply
-  EXPECT_FALSE(g.observe_actual(0, 0, dopar::SchedPolicy::Exclusive));
-}
-
-TEST(Service, GovernorReassertsAfterDirectPolicyChange) {
-  auto rt = make_rt();
-  ASSERT_EQ(rt.scheduler_policy(), dopar::SchedPolicy::Exclusive);
-  {
-    dopar::svc::Options o;
-    o.window = 10min;
-    o.max_inflight_batches = 1;
-    dopar::Service s(rt, o);
-    auto f1 = s.sort(0, request_keys(1, 64));
-    s.flush();
-    (void)f1.get();
-
-    // A user flips the policy out from under the Service...
-    rt.set_scheduler_policy(dopar::SchedPolicy::Stealing);
-    ASSERT_EQ(rt.scheduler_policy(), dopar::SchedPolicy::Stealing);
-
-    // ...and the next dispatch reasserts the governed policy.
-    auto f2 = s.sort(0, request_keys(2, 64));
-    s.flush();
-    (void)f2.get();
-    EXPECT_GE(s.stats().policy_switches, 1u);
-  }
-  EXPECT_EQ(rt.scheduler_policy(), dopar::SchedPolicy::Exclusive);
-}
-
 TEST(Service, FlushWhileInflightGateParkedIsNotLost) {
   // Regression: a flush() issued while the dispatcher was parked at the
   // inflight-slot gate could be eaten by a stale flush-flag reset,
@@ -349,50 +312,40 @@ TEST(Service, FlushWhileInflightGateParkedIsNotLost) {
   EXPECT_GE(s.stats().batches, 1u);
 }
 
-// ---- adaptive policy governor -------------------------------------------
+// ---- deep queue under load -----------------------------------------------
 
-TEST(Governor, DecideThresholds) {
-  const dopar::svc::GovernorConfig cfg{};  // 16 / 3 / 2
-  using P = dopar::SchedPolicy;
-  using G = dopar::svc::Governor;
-
-  EXPECT_EQ(G::decide(cfg, 0, 0), P::Exclusive);
-  EXPECT_EQ(G::decide(cfg, 1, 0), P::Exclusive);
-  EXPECT_EQ(G::decide(cfg, 0, 1), P::Exclusive);
-  EXPECT_EQ(G::decide(cfg, 2, 1), P::Sliced);   // 1 inflight + ripe queue
-  EXPECT_EQ(G::decide(cfg, 0, 2), P::Sliced);   // 2 concurrent batches
-  EXPECT_EQ(G::decide(cfg, 16, 0), P::Stealing);  // deep backlog
-  EXPECT_EQ(G::decide(cfg, 0, 3), P::Stealing);   // saturated slots
-  EXPECT_EQ(G::decide(cfg, 15, 2), P::Sliced);
-}
-
-TEST(Governor, ServiceSwitchesUnderLoadAndSettles) {
+TEST(Service, DeepQueueUnderLoadCompletesEveryFuture) {
   auto rt = dopar::Runtime::builder()
                 .threads(2)
                 .seed(3)
                 .max_job_workers(4)
                 .build();
-  ASSERT_EQ(rt.scheduler_policy(), dopar::SchedPolicy::Exclusive);
 
   dopar::svc::Options o;
   o.window = 50ms;
   o.max_batch_requests = 4;  // small batches keep the queue deep
   o.max_inflight_batches = 2;
+  // Oracles first: the submit loop below must stay tight to keep the
+  // queue deep.
+  std::vector<std::vector<uint64_t>> want;
+  for (uint64_t r = 0; r < 64; ++r) {
+    want.push_back(request_keys(r, 128));
+    std::sort(want.back().begin(), want.back().end());
+  }
   std::vector<dopar::Future<std::vector<uint64_t>>> futs;
   {
     dopar::Service s(rt, o);
     for (uint64_t r = 0; r < 64; ++r) {
       futs.push_back(s.sort(r % 4, request_keys(r, 128)));
     }
-    for (auto& f : futs) (void)f.get();
+    for (size_t r = 0; r < futs.size(); ++r) {
+      EXPECT_EQ(futs[r].get(), want[r]) << "request " << r;
+    }
     const auto st = s.stats();
-    // 64 requests in <= 4-request batches forces a deep queue: the
-    // governor must have left Exclusive and come back at drain.
-    EXPECT_GE(st.policy_switches, 2u);
-    EXPECT_GE(st.queue_depth_high_water, o.governor.stealing_queue);
+    // 64 requests in <= 4-request batches force a deep queue.
+    EXPECT_GE(st.queue_depth_high_water, 16u);
     EXPECT_GE(st.batches, 16u);
   }
-  EXPECT_EQ(rt.scheduler_policy(), dopar::SchedPolicy::Exclusive);
 }
 
 // ---- lifecycle ----------------------------------------------------------
