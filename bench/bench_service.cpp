@@ -3,6 +3,9 @@
 // sorts merged into one comparator-network sort over slot-tagged
 // composite keys, and equi-joins merged into one batched join plan
 // (shared multiplicity sort + one summed-bound distribute-expand frame).
+// The "lone" sort rows send the same requests through the Service one at
+// a time (submit, flush, wait), so every request is a one-slot batch: the
+// latency a request pays when it finds no batch-mate.
 //
 // Wall-clock, machine-dependent — the committed BENCH_service.json rows
 // are report-only in CI ("service" and "service_latency" are listed in
@@ -203,6 +206,29 @@ double join_coalesced_rps(size_t n, size_t depth) {
   return static_cast<double>(depth) / secs;
 }
 
+/// The same requests through the Service one at a time: each is flushed
+/// and awaited before the next is submitted, so each runs as a one-slot
+/// batch.
+double lone_rps(size_t n, size_t depth) {
+  auto rt = make_rt();
+  dopar::svc::Options o;
+  o.window = std::chrono::minutes(10);  // flush() triggers each dispatch
+  dopar::Service s(rt, o);
+  std::vector<std::vector<uint64_t>> inputs;
+  inputs.reserve(depth);
+  for (size_t r = 0; r < depth; ++r) inputs.push_back(req_keys(r, n));
+
+  const auto t0 = Clock::now();
+  for (size_t r = 0; r < depth; ++r) {
+    auto f = s.sort(/*tenant=*/r, inputs[r]);
+    s.flush();
+    (void)f.get();
+  }
+  const double secs =
+      std::chrono::duration<double>(Clock::now() - t0).count();
+  return static_cast<double>(depth) / secs;
+}
+
 template <class F>
 double best_of(F&& f) {
   double best = 0;
@@ -235,16 +261,21 @@ void run_config(size_t n, size_t depth) {
   const double naive = best_of([&] { return naive_rps(n, depth); });
   const dopar::obs::HistSnapshot cb = svc_sort_lat().snapshot();
   const double coal = best_of([&] { return coalesced_rps(n, depth); });
+  const dopar::obs::HistSnapshot lb = svc_sort_lat().snapshot();
+  const double lone = best_of([&] { return lone_rps(n, depth); });
   const std::string tag = "q=" + std::to_string(depth);
-  dopar::bench::Measure mn, mc;
+  dopar::bench::Measure mn, mc, ml;
   mn.work = static_cast<uint64_t>(naive);  // requests/sec (see header)
   mc.work = static_cast<uint64_t>(coal);
+  ml.work = static_cast<uint64_t>(lone);
   dopar::bench::record("service", "naive", n, tag, mn);
   dopar::bench::record("service", "coalesced", n, tag, mc);
-  std::printf("%8zu %8zu %14.0f %14.0f %9.2fx\n", n, depth, naive, coal,
-              coal / naive);
+  dopar::bench::record("service", "lone", n, tag, ml);
+  std::printf("%8zu %8zu %14.0f %14.0f %14.0f %9.2fx\n", n, depth, naive,
+              coal, lone, coal / naive);
   record_latency("naive", n, tag, naive_sort_lat(), nb);
   record_latency("coalesced", n, tag, svc_sort_lat(), cb);
+  record_latency("lone", n, tag, svc_sort_lat(), lb);
 }
 
 void run_join_config(size_t n, size_t depth) {
@@ -269,8 +300,9 @@ void run_join_config(size_t n, size_t depth) {
 
 int main() {
   dopar::bench::print_header(
-      "serving throughput: naive vs coalesced (requests/sec)",
-      "       n    depth      naive r/s  coalesced r/s    speedup");
+      "serving throughput: naive vs coalesced vs lone (requests/sec)",
+      "       n    depth      naive r/s  coalesced r/s       lone r/s"
+      "    speedup");
   for (size_t depth : {size_t{16}, size_t{64}, size_t{256}}) {
     run_config(256, depth);
   }

@@ -5,9 +5,10 @@
 // sort by tagging each request's keys with a per-batch slot id in the top
 // bits: sorting the tagged rows by the single 64-bit composite key yields
 // every request's rows contiguous (grouped by slot) and key-sorted within
-// the group, so one network pass serves the whole batch. That only works
-// for request keys below 2^48 — requests with larger keys (or too many
-// rows) are dispatched solo on the canonical pipeline instead.
+// the group, so one network pass serves the whole batch. A tag needs the
+// request keys below 2^48 — a request with larger keys (or too many rows)
+// is dispatched as a one-slot batch of the same sort, whose slot 0 leaves
+// every key untouched (composite_key(0, k) == k).
 //
 // The group-by request kind coalesces by the same slot-tagging idea, but
 // its composite keys live in the RELATIONAL key space (< rel::kKeyLimit =
@@ -21,15 +22,15 @@
 //
 // Determinism contract (the serving layer's core promise): a request's
 // output is a pure function of (tenant, keys, service seed) — independent
-// of batch composition, slot assignment, dispatch timing, and even of
-// which sort engine ran it (coalesced comparator network vs solo
-// Theorem 3.2 pipeline). The sorted key sequence is already engine-
-// independent (it is the input multiset); the only engine-visible freedom
-// is the order of equal keys. normalize_ties() removes it: within every
-// equal-key run, original indices are re-ordered by a per-request seed
-// stream derived from the request's CONTENT (request_digest), not from
-// its arrival ticket — so the same request replays the same tie order
-// whether it ran alone or inside any batch.
+// of batch composition, slot assignment, dispatch timing, and of the
+// backend that sorted it. The sorted key sequence is already independent
+// of all of these (it is the input multiset); the only visible freedom is
+// the order of equal keys, which a comparator network fixes by the rows'
+// positions and so by the request's slot. normalize_ties() removes it:
+// within every equal-key run, original indices are re-ordered by a
+// per-request seed stream derived from the request's CONTENT
+// (request_digest), not from its arrival ticket — so the same request
+// replays the same tie order whether it ran alone or inside any batch.
 
 #include <algorithm>
 #include <cstdint>
@@ -54,10 +55,6 @@ constexpr bool coalescible_key(uint64_t key) {
 }
 constexpr uint64_t composite_key(uint64_t slot, uint64_t key) {
   return (slot << kTenantKeyBits) | key;
-}
-constexpr uint64_t composite_slot(uint64_t c) { return c >> kTenantKeyBits; }
-constexpr uint64_t composite_request_key(uint64_t c) {
-  return c & kMaxCoalescibleKey;
 }
 
 /// Content digest of a request: a deterministic hash of (tenant, keys).

@@ -50,7 +50,7 @@ obs::Histogram& window_wait_ns_hist() {
   return h;
 }
 
-/// Requests per dispatched batch (1 = solo; higher = coalescing working).
+/// Requests per dispatched batch (1 = a lone request; higher = coalescing).
 obs::Histogram& batch_occupancy_hist() {
   static obs::Histogram& h =
       obs::Registry::global().histogram("dopar_svc_batch_occupancy");
@@ -76,11 +76,6 @@ Service::Service(Runtime& rt, Options opts)
   if (opts_.max_batch_elems == 0) opts_.max_batch_elems = 1;
   if (opts_.max_inflight_batches == 0) opts_.max_inflight_batches = 1;
   if (opts_.queue_limit == 0) opts_.queue_limit = 1;
-  // Validate the batch backend now: a typo'd name must throw in the
-  // constructor, not inside the dispatcher where nobody can catch it.
-  if (!opts_.batch_backend.empty()) {
-    (void)find_backend_factory(opts_.batch_backend);
-  }
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
@@ -98,172 +93,88 @@ Service::~Service() {
 
 Future<std::vector<uint64_t>> Service::sort(uint64_t tenant,
                                             std::vector<uint64_t> keys) {
-  auto prom = std::make_shared<std::promise<std::vector<uint64_t>>>();
-  Future<std::vector<uint64_t>> fut(prom->get_future(), nullptr);
-  const Admit a = enqueue(
-      tenant, std::move(keys),
-      [prom](std::vector<uint64_t>&& k, std::vector<uint32_t>&&,
-             std::exception_ptr err) {
-        if (err) {
-          prom->set_exception(err);
-        } else {
-          prom->set_value(std::move(k));
-        }
-      },
-      /*block=*/true);
-  throw_on(a);
-  return fut;
+  return *submit_sort(tenant, std::move(keys), /*block=*/true);
 }
 
 std::optional<Future<std::vector<uint64_t>>> Service::try_sort(
     uint64_t tenant, std::vector<uint64_t> keys) {
-  auto prom = std::make_shared<std::promise<std::vector<uint64_t>>>();
-  Future<std::vector<uint64_t>> fut(prom->get_future(), nullptr);
-  const Admit a = enqueue(
-      tenant, std::move(keys),
-      [prom](std::vector<uint64_t>&& k, std::vector<uint32_t>&&,
-             std::exception_ptr err) {
-        if (err) {
-          prom->set_exception(err);
-        } else {
-          prom->set_value(std::move(k));
-        }
-      },
-      /*block=*/false);
-  if (a != Admit::kOk) return std::nullopt;
-  return fut;
+  return submit_sort(tenant, std::move(keys), /*block=*/false);
 }
 
 Future<rel::JoinResult<uint64_t, uint64_t>> Service::equi_join(
     uint64_t tenant, std::vector<uint64_t> left_keys,
     std::vector<uint64_t> right_keys, size_t output_bound) {
-  auto prom = std::make_shared<
-      std::promise<rel::JoinResult<uint64_t, uint64_t>>>();
-  Future<rel::JoinResult<uint64_t, uint64_t>> fut(prom->get_future(),
-                                                  nullptr);
-  const Admit a = enqueue_join(
-      tenant, std::move(left_keys), std::move(right_keys),
-      /*banded=*/false, 0, output_bound,
-      [prom](rel::JoinResult<uint64_t, uint64_t>&& res,
-             std::exception_ptr err) {
-        if (err) {
-          prom->set_exception(err);
-        } else {
-          prom->set_value(std::move(res));
-        }
-      },
-      /*block=*/true);
-  throw_on(a);
-  return fut;
+  return *submit_join(tenant, std::move(left_keys), std::move(right_keys),
+                      /*banded=*/false, 0, output_bound, /*block=*/true);
 }
 
 std::optional<Future<rel::JoinResult<uint64_t, uint64_t>>>
 Service::try_equi_join(uint64_t tenant, std::vector<uint64_t> left_keys,
                        std::vector<uint64_t> right_keys,
                        size_t output_bound) {
-  auto prom = std::make_shared<
-      std::promise<rel::JoinResult<uint64_t, uint64_t>>>();
-  Future<rel::JoinResult<uint64_t, uint64_t>> fut(prom->get_future(),
-                                                  nullptr);
-  const Admit a = enqueue_join(
-      tenant, std::move(left_keys), std::move(right_keys),
-      /*banded=*/false, 0, output_bound,
-      [prom](rel::JoinResult<uint64_t, uint64_t>&& res,
-             std::exception_ptr err) {
-        if (err) {
-          prom->set_exception(err);
-        } else {
-          prom->set_value(std::move(res));
-        }
-      },
-      /*block=*/false);
-  if (a != Admit::kOk) return std::nullopt;
-  return fut;
+  return submit_join(tenant, std::move(left_keys), std::move(right_keys),
+                     /*banded=*/false, 0, output_bound, /*block=*/false);
 }
 
 Future<rel::JoinResult<uint64_t, uint64_t>> Service::band_join(
     uint64_t tenant, std::vector<uint64_t> left_keys,
     std::vector<uint64_t> right_keys, uint64_t band, size_t output_bound) {
-  auto prom = std::make_shared<
-      std::promise<rel::JoinResult<uint64_t, uint64_t>>>();
-  Future<rel::JoinResult<uint64_t, uint64_t>> fut(prom->get_future(),
-                                                  nullptr);
-  const Admit a = enqueue_join(
-      tenant, std::move(left_keys), std::move(right_keys),
-      /*banded=*/true, band, output_bound,
-      [prom](rel::JoinResult<uint64_t, uint64_t>&& res,
-             std::exception_ptr err) {
-        if (err) {
-          prom->set_exception(err);
-        } else {
-          prom->set_value(std::move(res));
-        }
-      },
-      /*block=*/true);
-  throw_on(a);
-  return fut;
+  return *submit_join(tenant, std::move(left_keys), std::move(right_keys),
+                      /*banded=*/true, band, output_bound, /*block=*/true);
 }
 
 std::optional<Future<rel::JoinResult<uint64_t, uint64_t>>>
 Service::try_band_join(uint64_t tenant, std::vector<uint64_t> left_keys,
                        std::vector<uint64_t> right_keys, uint64_t band,
                        size_t output_bound) {
-  auto prom = std::make_shared<
-      std::promise<rel::JoinResult<uint64_t, uint64_t>>>();
-  Future<rel::JoinResult<uint64_t, uint64_t>> fut(prom->get_future(),
-                                                  nullptr);
-  const Admit a = enqueue_join(
-      tenant, std::move(left_keys), std::move(right_keys),
-      /*banded=*/true, band, output_bound,
-      [prom](rel::JoinResult<uint64_t, uint64_t>&& res,
-             std::exception_ptr err) {
-        if (err) {
-          prom->set_exception(err);
-        } else {
-          prom->set_value(std::move(res));
-        }
-      },
-      /*block=*/false);
-  if (a != Admit::kOk) return std::nullopt;
-  return fut;
+  return submit_join(tenant, std::move(left_keys), std::move(right_keys),
+                     /*banded=*/true, band, output_bound, /*block=*/false);
 }
 
 Future<rel::GroupByResult> Service::group_by_aggregate(
     uint64_t tenant, std::vector<uint64_t> keys,
     std::vector<uint64_t> values, rel::Agg agg, size_t group_bound) {
-  auto prom = std::make_shared<std::promise<rel::GroupByResult>>();
-  Future<rel::GroupByResult> fut(prom->get_future(), nullptr);
-  const Admit a = enqueue_group(
-      tenant, std::move(keys), std::move(values), agg, group_bound,
-      [prom](rel::GroupByResult&& res, std::exception_ptr err) {
-        if (err) {
-          prom->set_exception(err);
-        } else {
-          prom->set_value(std::move(res));
-        }
-      },
-      /*block=*/true);
-  throw_on(a);
-  return fut;
+  return *submit_group(tenant, std::move(keys), std::move(values), agg,
+                       group_bound, /*block=*/true);
 }
 
 std::optional<Future<rel::GroupByResult>> Service::try_group_by_aggregate(
     uint64_t tenant, std::vector<uint64_t> keys,
     std::vector<uint64_t> values, rel::Agg agg, size_t group_bound) {
-  auto prom = std::make_shared<std::promise<rel::GroupByResult>>();
-  Future<rel::GroupByResult> fut(prom->get_future(), nullptr);
-  const Admit a = enqueue_group(
-      tenant, std::move(keys), std::move(values), agg, group_bound,
-      [prom](rel::GroupByResult&& res, std::exception_ptr err) {
-        if (err) {
-          prom->set_exception(err);
-        } else {
-          prom->set_value(std::move(res));
-        }
+  return submit_group(tenant, std::move(keys), std::move(values), agg,
+                      group_bound, /*block=*/false);
+}
+
+std::optional<Future<std::vector<uint64_t>>> Service::submit_sort(
+    uint64_t tenant, std::vector<uint64_t> keys, bool block) {
+  return submit<std::vector<uint64_t>, SortOut>(
+      block,
+      [&](FinishFn f, bool b) {
+        return enqueue(tenant, std::move(keys), std::move(f), b);
       },
-      /*block=*/false);
-  if (a != Admit::kOk) return std::nullopt;
-  return fut;
+      [](SortOut&& res) { return std::move(res.keys); });
+}
+
+std::optional<Future<rel::JoinResult<uint64_t, uint64_t>>>
+Service::submit_join(uint64_t tenant, std::vector<uint64_t> left,
+                     std::vector<uint64_t> right, bool banded, uint64_t band,
+                     size_t output_bound, bool block) {
+  return submit<rel::JoinResult<uint64_t, uint64_t>,
+                rel::JoinResult<uint64_t, uint64_t>>(
+      block, [&](JoinFinishFn f, bool b) {
+        return enqueue_join(tenant, std::move(left), std::move(right), banded,
+                            band, output_bound, std::move(f), b);
+      });
+}
+
+std::optional<Future<rel::GroupByResult>> Service::submit_group(
+    uint64_t tenant, std::vector<uint64_t> keys, std::vector<uint64_t> values,
+    rel::Agg agg, size_t group_bound, bool block) {
+  return submit<rel::GroupByResult, rel::GroupByResult>(
+      block, [&](GroupFinishFn f, bool b) {
+        return enqueue_group(tenant, std::move(keys), std::move(values), agg,
+                             group_bound, std::move(f), b);
+      });
 }
 
 void Service::flush() {
@@ -310,7 +221,7 @@ void Service::throw_on(Admit a) {
 
 void Service::fail_req(PendingReq& r, std::exception_ptr err) {
   switch (r.kind) {
-    case Kind::Sort: r.finish({}, {}, err); break;
+    case Kind::Sort: r.finish({}, err); break;
     case Kind::Join: r.finish_join({}, err); break;
     case Kind::GroupBy: r.finish_group({}, err); break;
   }
@@ -343,7 +254,7 @@ Service::Admit Service::enqueue(uint64_t tenant, std::vector<uint64_t> keys,
       ++stats_.accepted;
       ++stats_.kinds[size_t(Kind::Sort)].accepted;
     }
-    finish({}, {}, nullptr);
+    finish({}, nullptr);
     return Admit::kOk;
   }
 
@@ -372,7 +283,7 @@ Service::Admit Service::enqueue_join(uint64_t tenant,
         "svc::Service: join table sizes must be < 2^32");
   }
   if (left.empty() || right.empty()) {
-    // No pairs can match: complete inline, exactly like the solo engines.
+    // No pairs can match: complete inline, exactly like a direct Runtime call.
     {
       std::lock_guard<std::mutex> lk(m_);
       if (stop_) throw std::logic_error("svc::Service: submit after stop");
@@ -428,6 +339,9 @@ Service::Admit Service::enqueue_group(uint64_t tenant,
     }
     finish(rel::GroupByResult{}, nullptr);
     return Admit::kOk;
+  }
+  if (group_bound >= kMaxRelRows) {
+    throw std::invalid_argument("svc::Service: group bound must be < 2^32");
   }
   const size_t bound = group_bound == 0 ? keys.size() : group_bound;
 
@@ -490,7 +404,7 @@ bool Service::ripe_locked() const {
   if (!front.coalescible) return true;
   // Thresholds count only what the head's batch could actually carry:
   // coalescible requests of the head's kind. Rows queued behind an
-  // oversize (solo-bound) request or another kind must not fire a
+  // oversize (one-slot) request or another kind must not fire a
   // premature, undersized batch.
   const size_t k = size_t(front.kind);
   if (coal_count_[k] >= max_batch_requests_for(front.kind)) return true;
@@ -499,8 +413,8 @@ bool Service::ripe_locked() const {
 }
 
 std::shared_ptr<Service::Batch> Service::carve_locked() {
-  // Window wait (admission -> carve) is attributed at carve time so solo
-  // and coalesced requests are measured identically.
+  // Window wait (admission -> carve) is attributed at carve time so lone
+  // and batched requests are measured identically.
   const bool mon = obs::metrics_on();
   const auto carve_now =
       mon ? std::chrono::steady_clock::now()
@@ -546,7 +460,6 @@ std::shared_ptr<Service::Batch> Service::carve_locked() {
       it = queue_.erase(it);
     }
   }
-  b->coalesced = b->reqs.size() >= 2;
   return b;
 }
 
@@ -584,7 +497,7 @@ void Service::dispatcher_loop() {
     KindStats& ks = stats_.kinds[size_t(batch->kind)];
     ++stats_.batches;
     ++ks.batches;
-    if (batch->coalesced) {
+    if (m >= 2) {
       stats_.coalesced_requests += m;
       ks.coalesced_requests += m;
     } else {
@@ -616,7 +529,7 @@ void Service::run_batch(Batch& b) {
   try {
     switch (b.kind) {
       case Kind::Sort:
-        b.coalesced ? run_coalesced(b) : run_solo(b);
+        run_sort(b);
         break;
       case Kind::Join:
         run_join(b);
@@ -636,13 +549,14 @@ void Service::run_batch(Batch& b) {
   cv_work_.notify_all();
 }
 
-void Service::run_coalesced(Batch& b) {
+void Service::run_sort(Batch& b) {
   // One oblivious sort serves the whole batch: slot-tag every request's
   // keys (slot = position in the batch), sort the union by the composite
-  // key, and split the result back — each request's rows come out
-  // contiguous and key-sorted. The sort runs on the backend layer
-  // directly (comparator network by default): deterministic, oblivious,
-  // and at serving sizes far cheaper than one full pipeline per request.
+  // key on the Runtime's backend (a comparator network by default), and
+  // split the result back — each request's rows come out contiguous and
+  // key-sorted. A lone request is the one-slot batch: slot 0 leaves every
+  // key as it is, so keys >= 2^48 need no slot bits and the run is exactly
+  // Runtime::backend_sort over the request's rows.
   size_t total = 0;
   for (const PendingReq& r : b.reqs) total += r.keys.size();
   std::vector<obl::Elem> rows;
@@ -657,48 +571,28 @@ void Service::run_coalesced(Batch& b) {
     }
   }
   vec<obl::Elem> v = rt_.make_vec(std::move(rows));
-  SortOptions o;
-  o.backend = opts_.batch_backend;
-  rt_.backend_sort(v.s(), o);
+  rt_.backend_sort(v.s());
   const slice<obl::Elem> sorted = v.s();
   size_t off = 0;
   for (size_t s = 0; s < b.reqs.size(); ++s) {
     PendingReq& r = b.reqs[s];
     const size_t m = r.keys.size();
-    std::vector<uint64_t> out(m);
-    std::vector<uint32_t> order(m);
+    SortOut res{std::vector<uint64_t>(m), std::vector<uint32_t>(m)};
     for (size_t i = 0; i < m; ++i) {
       const obl::Elem& e = sorted.raw(off + i);  // harness read: untracked
-      assert(composite_slot(e.key) == s);
-      out[i] = composite_request_key(e.key);
-      order[i] = static_cast<uint32_t>(e.payload);
+      res.keys[i] = r.keys[e.payload];
+      res.order[i] = static_cast<uint32_t>(e.payload);
+      assert(e.key == composite_key(s, res.keys[i]));
     }
     off += m;
-    complete(b, r, std::move(out), std::move(order));
+    // Canonical tie order: the network's order of equal keys depends on
+    // the request's slot, so it is replaced by a pure function of
+    // (request, service seed) — the same bytes in any batch.
+    normalize_ties(res.keys, res.order, r.stream);
+    observe_latency(r);
+    r.finish(std::move(res), nullptr);
+    ++b.done;
   }
-}
-
-void Service::run_solo(Batch& b) {
-  // Uncoalescible (or lone) request: the canonical Theorem 3.2 pipeline,
-  // exactly what a direct Runtime::sort user would run.
-  PendingReq& r = b.reqs.front();
-  const size_t m = r.keys.size();
-  std::vector<obl::Elem> rows(m);
-  for (size_t i = 0; i < m; ++i) {
-    rows[i].key = r.keys[i];
-    rows[i].payload = i;
-  }
-  vec<obl::Elem> v = rt_.make_vec(std::move(rows));
-  rt_.sort(v.s());
-  const slice<obl::Elem> sorted = v.s();
-  std::vector<uint64_t> out(m);
-  std::vector<uint32_t> order(m);
-  for (size_t i = 0; i < m; ++i) {
-    const obl::Elem& e = sorted.raw(i);  // harness read: untracked
-    out[i] = e.key;
-    order[i] = static_cast<uint32_t>(e.payload);
-  }
-  complete(b, r, std::move(out), std::move(order));
 }
 
 void Service::run_join(Batch& b) {
@@ -707,7 +601,6 @@ void Service::run_join(Batch& b) {
   // back per slot at public offsets. A lone request is the one-slot batch
   // — exactly the plan a direct Runtime::equi_join/band_join runs — so
   // every JoinResult is byte-identical to a lone Runtime call either way.
-  // Joins read no sorter backend, so batch_backend does not apply.
   std::vector<rel::JoinSlot> slots;
   slots.reserve(b.reqs.size());
   size_t nl = 0, nr = 0;
@@ -763,7 +656,7 @@ void Service::run_group(Batch& b) {
   }
   std::vector<obl::Elem> frame;
   const std::vector<uint64_t> groups = rt_.group_by_batched(
-      keys, vals, slots, b.reqs.front().agg, frame, batch_options(b));
+      keys, vals, slots, b.reqs.front().agg, frame);
   size_t off = 0;
   for (size_t s = 0; s < b.reqs.size(); ++s) {
     PendingReq& r = b.reqs[s];
@@ -780,23 +673,6 @@ void Service::run_group(Batch& b) {
     r.finish_group(std::move(res), nullptr);
     ++b.done;
   }
-}
-
-SortOptions Service::batch_options(const Batch& b) const {
-  SortOptions o;
-  if (b.coalesced) o.backend = opts_.batch_backend;
-  return o;
-}
-
-void Service::complete(Batch& b, PendingReq& r, std::vector<uint64_t> keys,
-                       std::vector<uint32_t> order) {
-  // Canonical tie order: a pure function of (request, service seed), so
-  // the bytes handed to the promise are identical no matter which engine
-  // sorted the keys or which batch the request rode in.
-  normalize_ties(keys, order, r.stream);
-  observe_latency(r);
-  r.finish(std::move(keys), std::move(order), nullptr);
-  ++b.done;
 }
 
 void Service::observe_latency(const PendingReq& r) const {

@@ -30,18 +30,22 @@
 //
 //     Each kind keeps its own coalescible-row accounting against
 //     Options::max_batch_elems — a request's footprint is its total rows
-//     plus, for join/group-by, its output bound. Requests that cannot
-//     ride a batch (keys > 2^48-1, oversize footprint) run solo: a sort
-//     on the canonical pipeline, a join or group-by as a one-slot batch
-//     on the Runtime's backend — the very plan a direct Runtime call
+//     plus, for join/group-by, its output bound. Every kind has exactly
+//     one plan: a request that cannot share a batch (keys > 2^48-1,
+//     oversize footprint) or that finds no batch-mate runs as a one-slot
+//     batch of the same plan, on the Runtime's configured backend. A
+//     one-slot sort needs no slot bits (slot 0 leaves every key as it
+//     is), so it is exactly Runtime::backend_sort over the request's rows;
+//     a one-slot join or group-by is exactly what a direct Runtime call
 //     runs. Either way a request's output is BIT-IDENTICAL to what it
-//     would get served alone: for sorts the tie order is
-//     normalized from a per-request content-derived seed stream
-//     (normalize_ties); join/group-by results have no free tie order at
-//     all — the output contract fixes a total row order, so they are a
-//     pure function of the request. Provable by replaying a request solo
-//     and comparing bytes, or by comparing instrumented trace digests
-//     across runs.
+//     would get served alone: for sorts the tie order is normalized from
+//     a per-request content-derived seed stream (normalize_ties), since
+//     the network's order of equal keys depends on the request's position
+//     in the batch; join/group-by results have no free tie order at all —
+//     the output contract fixes a total row order, so they are a pure
+//     function of the request. Provable by replaying a request alone and
+//     comparing bytes, or by comparing instrumented trace digests across
+//     runs.
 //
 //  2. ADMISSION CONTROL + BACKPRESSURE. The submit queue is bounded
 //     (Options::queue_limit). try_sort() rejects immediately when full;
@@ -92,12 +96,13 @@ struct Options {
   /// How long the oldest queued request may wait for batch-mates before
   /// the coalescer dispatches regardless.
   std::chrono::microseconds window{500};
-  /// Requests per coalesced batch (clamped to kMaxBatchSlots = 65536, the
-  /// slot-tag capacity).
+  /// Requests per batch (clamped to kMaxBatchSlots = 65536, the slot-tag
+  /// capacity).
   size_t max_batch_requests = 64;
-  /// Total rows per coalesced batch; also the per-request coalescibility
-  /// bound (larger requests run solo). A request's charged footprint is
-  /// its input rows plus, for join/group-by, its output bound.
+  /// Total rows per batch; also the per-request coalescibility bound
+  /// (larger requests run as one-slot batches). A request's charged
+  /// footprint is its input rows plus, for join/group-by, its output
+  /// bound.
   size_t max_batch_elems = size_t{1} << 16;
   /// Bound on queued (accepted, not yet dispatched) requests.
   size_t queue_limit = 1024;
@@ -109,12 +114,6 @@ struct Options {
   /// Seed of the per-request tie-normalization streams. Two Services with
   /// the same seed serve identical outputs for identical requests.
   uint64_t seed = 0x5e4c'5eedULL;
-  /// Sorter backend for coalesced batches — the composite sort and every
-  /// internal sort of the batched group-by plan ("" = the Runtime's
-  /// configured backend; joins read no backend). Must name a registered
-  /// backend; comparator networks are the intended choices. Results never
-  /// depend on it.
-  std::string batch_backend{};
   /// Hold the obs metrics gate open for the Service's lifetime, so the
   /// per-kind latency / window-wait / occupancy histograms (and the
   /// scheduler- and pool-level series underneath) record while serving.
@@ -205,32 +204,27 @@ class Service {
     for (size_t i = 0; i < recs.size(); ++i) {
       keys[i] = static_cast<uint64_t>(key_of(recs[i]));
     }
-    auto prom = std::make_shared<std::promise<std::vector<Rec>>>();
     auto held = std::make_shared<std::vector<Rec>>(std::move(recs));
-    Future<std::vector<Rec>> fut(prom->get_future(), nullptr);
-    const Admit a = enqueue(
-        tenant, std::move(keys),
-        [prom, held](std::vector<uint64_t>&&, std::vector<uint32_t>&& order,
-                     std::exception_ptr err) {
-          if (err) {
-            prom->set_exception(err);
-            return;
-          }
+    return *submit<std::vector<Rec>, SortOut>(
+        /*block=*/true,
+        [&](FinishFn f, bool block) {
+          return enqueue(tenant, std::move(keys), std::move(f), block);
+        },
+        [held](SortOut&& res) {
           std::vector<Rec> out;
           out.reserve(held->size());
-          for (uint32_t idx : order) out.push_back(std::move((*held)[idx]));
-          prom->set_value(std::move(out));
-        },
-        /*block=*/true);
-    throw_on(a);
-    return fut;
+          for (uint32_t idx : res.order) {
+            out.push_back(std::move((*held)[idx]));
+          }
+          return out;
+        });
   }
 
   /// Submit an oblivious equi-join of two key tables: the future yields
   /// every (l, r) key pair with l == r, grouped by left row in input
   /// order, each group ascending by right (key, index) — exactly the
   /// Runtime::equi_join output over the same tables, byte for byte,
-  /// whether the request rode a coalesced batch or ran solo. Keys must be
+  /// whether the request shared its batch or ran alone. Keys must be
   /// < rel::kKeyLimit (2^62); keys <= 2^48-1 and a footprint (|L| + |R| +
   /// bound) within Options::max_batch_elems make the request coalescible.
   /// `output_bound` caps the returned pairs (0 = |L|*|R|, which must stay
@@ -288,18 +282,46 @@ class Service {
   }
 
  private:
-  /// Completion callback of one sort request: (sorted keys, original-index
-  /// permutation, error). Exactly one of {results, error} is meaningful.
-  using FinishFn = std::function<void(
-      std::vector<uint64_t>&&, std::vector<uint32_t>&&, std::exception_ptr)>;
-  /// Completion callback of one join request.
-  using JoinFinishFn = std::function<void(
-      rel::JoinResult<uint64_t, uint64_t>&&, std::exception_ptr)>;
-  /// Completion callback of one group-by request.
-  using GroupFinishFn =
-      std::function<void(rel::GroupByResult&&, std::exception_ptr)>;
+  /// A finished sort request: the sorted keys and the original-index
+  /// permutation.
+  struct SortOut {
+    std::vector<uint64_t> keys;
+    std::vector<uint32_t> order;
+  };
+  /// Completion callback of one request: exactly one of {result, error}
+  /// is meaningful.
+  template <class R>
+  using Finish = std::function<void(R&&, std::exception_ptr)>;
+  using FinishFn = Finish<SortOut>;
+  using JoinFinishFn = Finish<rel::JoinResult<uint64_t, uint64_t>>;
+  using GroupFinishFn = Finish<rel::GroupByResult>;
 
   enum class Admit { kOk, kFull, kTimeout };
+
+  /// The one submit adapter: `enqueue(finish, block)` admits a request
+  /// whose completion callback fulfils the returned Future with
+  /// `unpack(result)`. std::nullopt when a non-blocking submit found the
+  /// queue full; a blocking submit throws SubmitTimeout instead, so its
+  /// optional always holds a Future.
+  template <class T, class R, class Enqueue, class Unpack = std::identity>
+  std::optional<Future<T>> submit(bool block, Enqueue&& enqueue,
+                                  Unpack unpack = {}) {
+    auto prom = std::make_shared<std::promise<T>>();
+    Future<T> fut(prom->get_future(), nullptr);
+    const Admit a = enqueue(
+        Finish<R>([prom, unpack = std::move(unpack)](R&& res,
+                                                      std::exception_ptr err) {
+          if (err) {
+            prom->set_exception(err);
+          } else {
+            prom->set_value(unpack(std::move(res)));
+          }
+        }),
+        block);
+    if (block) throw_on(a);
+    if (a != Admit::kOk) return std::nullopt;
+    return fut;
+  }
 
   struct PendingReq {
     Kind kind = Kind::Sort;
@@ -330,10 +352,19 @@ class Service {
   struct Batch {
     std::vector<PendingReq> reqs;  ///< all of one kind (and one agg)
     Kind kind = Kind::Sort;
-    bool coalesced = false;  ///< reqs.size() >= 2 (one shared plan)
     size_t done = 0;         ///< requests already finished (error scoping)
   };
 
+  std::optional<Future<std::vector<uint64_t>>> submit_sort(
+      uint64_t tenant, std::vector<uint64_t> keys, bool block);
+  std::optional<Future<rel::JoinResult<uint64_t, uint64_t>>> submit_join(
+      uint64_t tenant, std::vector<uint64_t> left,
+      std::vector<uint64_t> right, bool banded, uint64_t band,
+      size_t output_bound, bool block);
+  std::optional<Future<rel::GroupByResult>> submit_group(
+      uint64_t tenant, std::vector<uint64_t> keys,
+      std::vector<uint64_t> values, rel::Agg agg, size_t group_bound,
+      bool block);
   Admit enqueue(uint64_t tenant, std::vector<uint64_t> keys, FinishFn finish,
                 bool block);
   Admit enqueue_join(uint64_t tenant, std::vector<uint64_t> left,
@@ -351,15 +382,9 @@ class Service {
   bool ripe_locked() const;
   std::shared_ptr<Batch> carve_locked();
   void run_batch(Batch& b);
-  void run_coalesced(Batch& b);
-  void run_solo(Batch& b);
+  void run_sort(Batch& b);
   void run_join(Batch& b);
   void run_group(Batch& b);
-  /// Sort options of a group-by batch's plan: batch_backend when
-  /// coalesced, the Runtime's backend for a lone request.
-  SortOptions batch_options(const Batch& b) const;
-  void complete(Batch& b, PendingReq& r, std::vector<uint64_t> keys,
-                std::vector<uint32_t> order);
   /// Record one finished request's enqueue->ready latency (metrics-gated).
   void observe_latency(const PendingReq& r) const;
 
@@ -379,7 +404,7 @@ class Service {
   std::deque<PendingReq> queue_;
   /// Queued COALESCIBLE rows / requests per kind: the ripeness thresholds
   /// only count rows that could actually ride the next batch — an
-  /// uncoalescible (solo-bound) request mid-queue must not trip them.
+  /// uncoalescible (one-slot) request mid-queue must not trip them.
   std::array<size_t, kNumKinds> coal_elems_{};
   std::array<size_t, kNumKinds> coal_count_{};
   size_t inflight_ = 0;

@@ -53,8 +53,8 @@ std::vector<Rec> request_recs(uint64_t tag, size_t n, uint64_t bound = 50) {
 
 TEST(Service, CoalescedMatchesSoloByteForByte) {
   // The same request must produce the same bytes whether it is served
-  // alone (canonical full pipeline) or inside any coalesced batch
-  // (comparator network over composite keys) — tie order included.
+  // alone (a one-slot batch) or inside any coalesced batch (other slots,
+  // so other network positions for its equal keys) — tie order included.
   constexpr uint64_t kSvcSeed = 99;
   constexpr size_t kN = 100;  // non-power-of-two exercises batch padding
 
@@ -171,27 +171,73 @@ TEST(Service, MixedSizesAndTenantsInOneBatch) {
   EXPECT_GE(s.stats().coalesced_requests, std::size(sizes));
 }
 
-TEST(Service, LargeKeysGoSolo) {
+TEST(Service, LoneSortIsAOneSlotNetworkBatch) {
+  // A lone sort runs the one sort plan as a one-slot batch: exactly
+  // Runtime::backend_sort over the request's (key, index) rows, with the
+  // same analytic cost and the same memory trace.
+  constexpr size_t kN = 100;
+  const std::vector<uint64_t> keys = request_keys(11, kN);
+  const auto build = [] {
+    return dopar::Runtime::builder().trace().seed(5).build();
+  };
+
+  auto rt = build();
+  std::vector<uint64_t> got;
+  {
+    dopar::svc::Options o;
+    o.window = 10min;  // only flush dispatches
+    dopar::Service s(rt, o);
+    auto f = s.sort(0, keys);
+    s.flush();
+    got = f.get();
+    EXPECT_EQ(s.stats().solo_requests, 1u);
+  }
+
+  auto ref = build();
+  std::vector<dopar::Elem> rows(kN);
+  for (size_t i = 0; i < kN; ++i) {
+    rows[i].key = keys[i];
+    rows[i].payload = i;
+  }
+  auto v = ref.make_vec(std::move(rows));
+  ref.backend_sort(v.s());
+
+  std::vector<uint64_t> want = keys;
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(got, want);
+  EXPECT_NE(ref.cost().work, 0u);
+  EXPECT_EQ(rt.cost().work, ref.cost().work);
+  EXPECT_EQ(rt.cost().span, ref.cost().span);
+  EXPECT_EQ(rt.trace_digest(), ref.trace_digest());
+}
+
+TEST(Service, LargeKeysRunAsOneSlotBatch) {
   auto rt = make_rt();
   dopar::svc::Options o;
   o.window = 10min;
   dopar::Service s(rt, o);
 
   // Keys >= 2^48 cannot carry a slot tag; the request must still be
-  // served (solo, canonical pipeline) even with coalescible traffic
-  // queued around it.
+  // served (as a one-slot batch, which needs no tag) even with
+  // coalescible traffic queued around it — up to the largest legal key.
   std::vector<uint64_t> big(40);
   for (size_t i = 0; i < big.size(); ++i) {
     big[i] = (uint64_t{1} << 48) + 1000 - i;
   }
+  const std::vector<uint64_t> top = {5, ~uint64_t{1}, uint64_t{1} << 63,
+                                     ~uint64_t{1}, 0};  // 2^64-2 twice
   auto f_small1 = s.sort(0, request_keys(1, 32));
   auto f_big = s.sort(1, big);
+  auto f_top = s.sort(3, top);
   auto f_small2 = s.sort(2, request_keys(2, 32));
   s.flush();
 
   std::vector<uint64_t> want = big;
   std::sort(want.begin(), want.end());
   EXPECT_EQ(f_big.get(), want);
+  std::vector<uint64_t> want_top = top;
+  std::sort(want_top.begin(), want_top.end());
+  EXPECT_EQ(f_top.get(), want_top);
   (void)f_small1.get();
   (void)f_small2.get();
   const auto st = s.stats();

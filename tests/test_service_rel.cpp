@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <numeric>
 #include <span>
 #include <string>
@@ -339,6 +340,43 @@ TEST(ServiceRel, LargeKeyJoinRunsSolo) {
 }
 
 // ---- validation & lifecycle ---------------------------------------------
+
+TEST(ServiceRel, BadGroupBoundThrowsAtSubmitNotInItsBatch) {
+  // A group bound >= 2^32 is the submitter's error: it must throw at
+  // submit, not ride a batch whose plan then fails every batch-mate.
+  auto rt = make_rt();
+  dopar::svc::Options o = flush_only_opts();
+  o.max_batch_elems = size_t{1} << 40;  // the bad bound would coalesce
+  dopar::Service s(rt, o);
+  const std::vector<uint64_t> keys = rel_keys(1, 64, 8);
+  const std::vector<uint64_t> vals = rel_keys(2, 64, 100);
+  auto good = s.group_by_aggregate(0, keys, vals, dopar::rel::Agg::Sum);
+  EXPECT_THROW((void)s.group_by_aggregate(1, keys, vals, dopar::rel::Agg::Sum,
+                                          size_t{1} << 32),
+               std::invalid_argument);
+  EXPECT_THROW((void)s.try_group_by_aggregate(
+                   2, keys, vals, dopar::rel::Agg::Sum, size_t{1} << 32),
+               std::invalid_argument);
+  s.flush();
+
+  std::map<uint64_t, std::pair<uint64_t, uint64_t>> want;  // sum, count
+  for (size_t i = 0; i < keys.size(); ++i) {
+    want[keys[i]].first += vals[i];
+    ++want[keys[i]].second;
+  }
+  const dopar::rel::GroupByResult got = good.get();
+  EXPECT_EQ(got.groups_total, want.size());
+  ASSERT_EQ(got.groups.size(), want.size());
+  size_t g = 0;
+  for (const auto& [key, agg] : want) {
+    EXPECT_EQ(got.groups[g].key, key);
+    EXPECT_EQ(got.groups[g].value, agg.first);
+    EXPECT_EQ(got.groups[g].count, agg.second);
+    ++g;
+  }
+  EXPECT_EQ(s.stats().kinds[size_t(dopar::Service::Kind::GroupBy)].accepted,
+            1u);
+}
 
 TEST(ServiceRel, ValidationAndInlineCompletion) {
   auto rt = make_rt();
