@@ -238,6 +238,6 @@ int main() {
   }
 
   write_json("BENCH_table2.json");
-  std::printf("Done. See EXPERIMENTS.md.\n");
+  std::printf("Done.\n");
   return 0;
 }

@@ -4,7 +4,8 @@
 // Every bench runs its workload under an analytic measurement session
 // (serial execution, exact fork-join work/span, ideal-cache LRU misses)
 // and prints rows whose *normalized* columns should be flat if the paper's
-// asymptotic claim holds — see EXPERIMENTS.md for how to read each table.
+// asymptotic claim holds; each bench's header names the claim its
+// columns check.
 
 #include <cmath>
 #include <cstdint>

@@ -15,12 +15,12 @@
 // grandparents) through one AddrPlan per array, so each array's requests
 // are sorted once however many tables are read there.
 //
-// Deviation from the paper (documented in DESIGN.md/EXPERIMENTS.md): the
-// paper compacts *memory* geometrically to reach O(W_sort(n)) total work;
-// we compact the leaf work-list but keep the node tables full-sized, so
-// each of the log L phases pays a table-sized routing term. The span
-// claim (the Table 1 dagger: Õ(log^2 n) vs insecure Õ(log^3 n)) is
-// unaffected and is what the bench demonstrates.
+// Deviation from the paper: the paper compacts *memory* geometrically to
+// reach O(W_sort(n)) total work; we compact the leaf work-list but keep
+// the node tables full-sized, so each of the log L phases pays a
+// table-sized routing term. The span claim (the Table 1 dagger: Õ(log^2 n)
+// vs insecure Õ(log^3 n)) is unaffected and is what the bench
+// demonstrates.
 
 #include <cassert>
 #include <cstdint>

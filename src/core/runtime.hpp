@@ -240,9 +240,18 @@ class Runtime {
   /// Any size is accepted: the networks need a power-of-two array, so a
   /// non-power-of-two input is sorted through a filler-padded scratch
   /// buffer (fillers carry the maximal key and land in the dropped tail).
-  /// Keys must therefore be < 2^64-1, as everywhere else in the library.
+  /// Keys must therefore be < 2^64-1, as everywhere else in the library
+  /// (std::invalid_argument otherwise, in every build type).
   void backend_sort(const slice<obl::Elem>& a, const SortOptions& opts = {}) {
     const auto sorter = resolve(opts);
+    // Untracked reads: validating the input adds nothing to a trace.
+    const obl::Elem* raw = a.data();
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (raw[i].key == ~uint64_t{0}) {
+        throw std::invalid_argument(
+            "backend_sort: key 2^64-1 is reserved (the filler sentinel)");
+      }
+    }
     obs::Span span("rt.backend_sort", "n", a.size());
     with_env([&] {
       const size_t n = a.size();

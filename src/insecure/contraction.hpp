@@ -4,8 +4,8 @@
 // routing. Matches the structure of the [BGS10]-style low-depth
 // contraction the paper compares against in Table 1 (span Õ(log^3 n) under
 // naive per-phase forking vs the oblivious version's Õ(log^2 n) per-phase
-// sort-bound span — the dagger row is about the opposite direction; see
-// EXPERIMENTS.md for the measured comparison).
+// sort-bound span — the dagger row is about the opposite direction;
+// bench_table1's TC rows measure both).
 
 #include <cassert>
 #include <cstdint>

@@ -7,8 +7,8 @@
 // permuted array keeps the pipeline oblivious. This is the classic CLRS
 // Chapter-27 multithreaded merge sort: work O(n log n); the parallel merge
 // splits on the median of the larger run, giving span O(log^3 n) — a
-// log^2/loglog factor off SPMS, which only matters for the span column
-// (documented substitution #2 in DESIGN.md).
+// log^2/loglog factor off SPMS, which only matters for the span column.
+// The genuine SPMS engine is core/spms.hpp (the "spms" backend).
 
 #include <cassert>
 #include <cstddef>

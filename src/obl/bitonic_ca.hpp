@@ -15,6 +15,12 @@
 //
 // The comparator sequence (hence the access pattern) is a fixed function of
 // n — data-oblivious by construction.
+//
+// Native runs (no sim::Session) stop the transpose recursion at
+// kBitonicCaNativeBase records and run the base sorts and merges on the
+// kernel layer's bitonic round runner; instrumented runs recurse down to
+// the analytic base kBitonicCaBase and run its serial instrumented
+// butterfly.
 
 #include <cassert>
 #include <cstddef>
@@ -39,23 +45,16 @@ namespace detail {
 inline constexpr size_t kBitonicCaBase = 8;
 
 /// Base for uninstrumented native execution. The transpose recursion only
-/// pays off once a subproblem outgrows cache; below this, bitonic_sort's
-/// native path (serial L1 tiles, tiled butterfly merges) is faster than
-/// shuffling through scratch. Same comparator network either way (see the
-/// half-direction rule in sort_ca) — outputs are identical, only the
+/// pays off once a subproblem outgrows cache; below this, the kernel
+/// layer's round runner (bitonic_sort's native sorts, kernel::butterfly's
+/// native merges: serial inside L1 tiles, forked above them) is faster
+/// than shuffling through scratch. Same comparator network either way (see
+/// the half-direction rule in sort_ca) — outputs are identical, only the
 /// execution order of independent comparators differs.
 inline constexpr size_t kBitonicCaNativeBase = 4096;
 
 inline size_t bitonic_ca_base() {
   return sim::current_session() ? kBitonicCaBase : kBitonicCaNativeBase;
-}
-
-/// Butterfly (bitonic merge network) on a[0..m). Kept as the historical
-/// entry point; the round execution lives in the kernel layer now
-/// (instrumented: verbatim serial loops; native: L1-tiled batched rounds).
-template <class T, class Less>
-void butterfly_serial(const slice<T>& a, bool up, const Less& less) {
-  kernel::butterfly(a, up, less);
 }
 
 template <class T, class Less>
@@ -105,17 +104,6 @@ void sort_ca(const slice<T>& data, const slice<T>& scratch, bool up,
 }
 
 }  // namespace detail
-
-/// Cache-agnostic bitonic merge of a bitonic sequence; |data| = |scratch|
-/// a power of two. Result lands in `data`; `scratch` is clobbered.
-template <class T, class Less = ByKey>
-void bitonic_merge_ca(const slice<T>& data, const slice<T>& scratch,
-                      bool up = true, const Less& less = {}) {
-  assert(data.size() == scratch.size());
-  assert(util::is_pow2(data.size()) || data.size() == 0);
-  if (data.size() <= 1) return;
-  detail::merge_ca(data, scratch, up, less);
-}
 
 /// Cache-agnostic bitonic sort; |data| a power of two. Allocates one
 /// scratch buffer of equal size.

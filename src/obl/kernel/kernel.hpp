@@ -11,16 +11,22 @@
 //     digests are therefore bit-for-bit unchanged by this layer.
 //   * native (no session): tight serial loops over raw pointers feeding the
 //     runtime-dispatched SIMD kernels of dispatch.hpp — whole comparator
-//     rounds per call (mask first, then one batched oswap), L1-tiled
-//     butterfly rounds, and memmove bulk copies.
+//     rounds per call (mask first, then one batched oswap) and memmove
+//     bulk copies.
 //
-// Native leaf grain: a fork on the real pool costs about 100 ns, so native
-// recursions stop forking at one L1 tile (kL1TileBytes: 512 Elem, 256
-// BinItem<Routed>). Inside a tile, sort_tile and the butterfly's last
-// log(tile) rounds run serially as batched rounds. The instrumented path
-// keeps its fork-per-comparator recursion because the paper's work/span/
-// cache analysis, the committed analytic snapshots and the trace digests
-// are all stated over that recursion, not over the native schedule.
+// Bitonic networks have one native executor, the round runner below
+// (Network, for_rounds, run_pairs): bitonic_sort's sorts and merges,
+// bitonic_ca's native base, the layerwise sorter and the recorded sorts
+// and merges of obl/route.hpp all run their rounds through it. A round
+// whose comparators span more than one L1 tile (kL1TileBytes: 512 Elem,
+// 256 BinItem<Routed>) forks its pairs; consecutive rounds inside aligned
+// tiles run tile by tile, so a tile is loaded once for all of them. A
+// fork on the real pool costs about 100 ns, so a native leaf is one
+// tile's pairs, run serially. The instrumented comparator schedules (the
+// fork-per-comparator recursions and the serial butterfly) keep their
+// historical shape because the paper's work/span/cache analysis, the
+// committed analytic snapshots and the trace digests are all stated over
+// them, not over the native schedule.
 //
 // The dual-path rule is safe because a comparator network is a fixed
 // function of n: the set of (i, j, dir) comparators is identical on both
@@ -38,6 +44,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 
 #include "forkjoin/api.hpp"
@@ -63,12 +70,12 @@ enum class Tick { None, PerElem };
 /// to amortize the dispatch indirection.
 inline constexpr size_t kMaskChunk = 512;
 
-/// Native butterfly tiling: consecutive rounds with comparator distance
-/// below the tile run back-to-back over blocks of about this many bytes so
-/// the block stays L1-resident across rounds.
+/// Native round tiling: consecutive bitonic rounds with comparator
+/// distance below the tile run back-to-back over blocks of about this many
+/// bytes so the block stays L1-resident across rounds.
 inline constexpr size_t kL1TileBytes = 16 * 1024;
 
-/// Tile size in elements for butterfly tiling (power of two, >= 2).
+/// Tile size in elements for round tiling (power of two, >= 2).
 template <class T>
 constexpr size_t tile_elems() {
   const size_t e = kL1TileBytes / sizeof(T);
@@ -76,27 +83,6 @@ constexpr size_t tile_elems() {
 }
 
 namespace detail {
-
-/// Native path: one contiguous run of `count` independent comparators —
-/// pair k is (xa[k], xb[k]), ordered ascending iff `up`. Computes the wrong-
-/// order masks for a chunk, then swaps the whole chunk with one dispatched
-/// batch call.
-template <class T, class Less>
-inline void pair_run_native(T* xa, T* xb, size_t count, bool up,
-                            const Less& less) {
-  unsigned char mask[kMaskChunk];
-  for (size_t base = 0; base < count; base += kMaskChunk) {
-    const size_t cnt = std::min(kMaskChunk, count - base);
-    for (size_t k = 0; k < cnt; ++k) {
-      const T& x = xa[base + k];
-      const T& y = xb[base + k];
-      mask[k] = static_cast<unsigned char>(up ? less(y, x) : less(x, y));
-    }
-    oswap_batch_raw(reinterpret_cast<unsigned char*>(xa + base),
-                    reinterpret_cast<unsigned char*>(xb + base), sizeof(T),
-                    sizeof(T), mask, cnt);
-  }
-}
 
 /// Native path: strided pairs (p[i], p[i+gap]) for i = first, first+step, …
 /// while i + gap < end. Always ascending (the odd-even network's form).
@@ -117,49 +103,10 @@ inline void strided_run_native(T* p, size_t first, size_t end, size_t gap,
   }
 }
 
-/// Native path: the butterfly rounds d = s/2, …, 1 of every s-block of
-/// q[0..m) (2 <= s <= m, powers of two), serially. Block j is ordered
-/// ascending iff (s == m ? up : j is even) — the block directions of one
-/// merge stage of obl::detail::bitonic_sort_naive. A round whose pair runs
-/// are shorter than their count (d < m/(2d)) runs as d strided batches
-/// instead of m/(2d) contiguous ones; either way it executes the same
-/// independent comparators.
-template <class T, class Less>
-void tile_stage_native(T* q, size_t m, size_t s, bool up, const Less& less) {
-  const auto dir = [&](size_t i) { return s == m ? up : (i & s) == 0; };
-  unsigned char mask[kMaskChunk];
-  for (size_t d = s / 2; d >= 1; d /= 2) {
-    const size_t runs = m / (2 * d);
-    if (d >= runs) {
-      for (size_t r = 0; r < m; r += 2 * d) {
-        pair_run_native(q + r, q + r + d, d, dir(r), less);
-      }
-      continue;
-    }
-    for (size_t o = 0; o < d; ++o) {
-      for (size_t k0 = 0; k0 < runs; k0 += kMaskChunk) {
-        const size_t cnt = std::min(kMaskChunk, runs - k0);
-        T* base = q + o + k0 * 2 * d;
-        for (size_t k = 0; k < cnt; ++k) {
-          const T& x = base[k * 2 * d];
-          const T& y = base[k * 2 * d + d];
-          const bool wrong = dir(o + (k0 + k) * 2 * d) ? less(y, x)
-                                                       : less(x, y);
-          mask[k] = static_cast<unsigned char>(wrong);
-        }
-        oswap_batch_raw(reinterpret_cast<unsigned char*>(base),
-                        reinterpret_cast<unsigned char*>(base + d), sizeof(T),
-                        2 * d * sizeof(T), mask, cnt);
-      }
-    }
-  }
-}
-
 }  // namespace detail
 
 /// One comparator: orders a[i], a[j] ascending iff `up`. One tick of work
-/// and span. This is the historical obl::comparator body, verbatim — the
-/// unit both paths of every round API below reduce to.
+/// and span. The unit every instrumented comparator schedule reduces to.
 template <class T, class Less>
 inline void cex_pair(const slice<T>& a, size_t i, size_t j, bool up,
                      const Less& less) {
@@ -170,21 +117,6 @@ inline void cex_pair(const slice<T>& a, size_t i, size_t j, bool up,
   oswap(x, y, wrong);
   a[i] = x;
   a[j] = y;
-}
-
-/// Comparators (i, i+off) for every i in [i0, i1) — the contiguous half-vs-
-/// half round of a bitonic merge. Requires off >= i1 - i0 (the two record
-/// ranges must not overlap).
-template <class T, class Less>
-void cex_offset_range(const slice<T>& a, size_t i0, size_t i1, size_t off,
-                      bool up, const Less& less) {
-  assert(off >= i1 - i0);
-  if (instrumented()) {
-    for (size_t i = i0; i < i1; ++i) cex_pair(a, i, i + off, up, less);
-    return;
-  }
-  T* p = a.data();
-  detail::pair_run_native(p + i0, p + i0 + off, i1 - i0, up, less);
 }
 
 /// Comparators (i, i+gap) ascending for i = first, first+step, … while
@@ -203,122 +135,240 @@ void cex_strided(const slice<T>& a, size_t first, size_t end, size_t gap,
   detail::strided_run_native(a.data(), first, end, gap, step, less);
 }
 
-/// One layer of the layerwise bitonic schedule restricted to i in [i0, i1):
-/// every i with (i & d) == 0 pairs with i + d, directed by its block of the
-/// current merge stage. `block` must be a multiple of 2d (it is, for every
-/// (block, d) the bitonic schedule produces), so direction is constant on
-/// each run of d consecutive comparators.
-template <class T, class Less>
-void cex_layer(const slice<T>& a, size_t i0, size_t i1, size_t block,
-               size_t d, bool up, const Less& less) {
-  if (instrumented()) {
-    for (size_t i = i0; i < i1; ++i) {
-      if ((i & d) == 0) {
-        const bool dir = up == (((i / block) % 2) == 0);
-        cex_pair(a, i, i + d, dir, less);
-      }
-    }
+// ---- the bitonic round runner -------------------------------------------
+
+/// One all-pairs round of a bitonic network on m records: every i with
+/// (i & d) == 0 pairs with i + d (m/2 comparators). The pair run starting
+/// at element s ascends iff ((s | top) & k) == 0: k is the merge stage
+/// (block size) the round belongs to, and top is 0 for an ascending
+/// network or m for a descending one, which flips exactly the top stage's
+/// blocks. `pos` is the round's tape offset (round index * m/2).
+struct Round {
+  size_t k;
+  size_t d;
+  size_t top;
+  size_t pos;
+  bool ascends(size_t s) const { return ((s | top) & k) == 0; }
+};
+
+/// The rounds of a bitonic network on m records (m a power of two >= 2):
+/// merge stages k = k0, 2 k0, …, m, each of rounds d = k/2, …, 1. A full
+/// sort starts at k0 = 2 (the naive recursion's comparators: lower stages
+/// ascend on even blocks, the top stage in `up`); one merge is the single
+/// stage k0 = m. Rounds are stepped through in place, so running a network
+/// allocates nothing.
+struct Network {
+  size_t m;
+  size_t k0;
+  bool up;
+
+  static Network sort(size_t m, bool up) { return {m, 2, up}; }
+  static Network merge(size_t m, bool up) { return {m, m, up}; }
+
+  size_t rounds() const {
+    const size_t a = util::log2_exact(k0);
+    const size_t b = util::log2_exact(m);
+    return (b * (b + 1) - (a - 1) * a) / 2;
+  }
+  Round first() const { return {k0, k0 / 2, up ? 0 : m, 0}; }
+  Round last() const { return {m, 1, up ? 0 : m, (rounds() - 1) * (m / 2)}; }
+  /// The round after r in execution order.
+  Round next(const Round& r) const {
+    return r.d > 1 ? Round{r.k, r.d / 2, r.top, r.pos + m / 2}
+                   : Round{2 * r.k, r.k, r.top, r.pos + m / 2};
+  }
+  /// The round before r in execution order.
+  Round prev(const Round& r) const {
+    return 2 * r.d < r.k ? Round{r.k, 2 * r.d, r.top, r.pos - m / 2}
+                         : Round{r.k / 2, 1, r.top, r.pos - m / 2};
+  }
+};
+
+/// Pairs per forked leaf of an instrumented round: the bitonic_ca analytic
+/// base. A fork per comparator would roughly double the network's analytic
+/// work; a constant run keeps the round's span at O(log m) while adding
+/// one join per eight comparators.
+inline constexpr size_t kRecordLeafPairs = 8;
+
+/// Fork [lo, hi) in halves down to runs of at most `grain`, then f(lo, hi).
+/// Unlike fj::for_blocks the grain also holds under a session, so the
+/// instrumented fork tree stops at a constant run of pairs.
+template <class F>
+void fork_leaves(size_t lo, size_t hi, size_t grain, const F& f) {
+  if (hi - lo <= grain) {
+    f(lo, hi);
     return;
   }
-  T* p = a.data();
-  size_t i = i0;
-  while (i < i1) {
-    if (i & d) {  // inside a partner run: hop to the next left-index run
-      i = (i & ~(d - 1)) + d;
-      continue;
+  const size_t mid = lo + (hi - lo) / 2;
+  fj::invoke([&] { fork_leaves(lo, mid, grain, f); },
+             [&] { fork_leaves(mid, hi, grain, f); });
+}
+
+/// How run_pairs gets a pair's swap mask: compare the records, compare and
+/// write the mask to the tape, or read it back from the tape.
+enum class Pairs { Compare, Record, Replay };
+
+namespace detail {
+
+/// mask[j] for j < cnt: the wrong-order mask of the pair (x[j * step],
+/// x[j * step + d]) ordered ascending iff up(j), whose tape byte is
+/// t[j * tstep]. Every operand is a value, so the mask stores (which may
+/// alias anything) force no reloads.
+template <Pairs Mode, class T, class Byte, class Less, class Up>
+void pair_masks(unsigned char* mask, const T* x, size_t step, size_t d,
+                size_t cnt, Byte* t, size_t tstep, const Less& less, Up up) {
+  for (size_t j = 0; j < cnt; ++j) {
+    if constexpr (Mode == Pairs::Replay) {
+      mask[j] = t[j * tstep];
+    } else {
+      const T& lo = x[j * step];
+      const T& hi = x[j * step + d];
+      mask[j] =
+          static_cast<unsigned char>(up(j) ? less(hi, lo) : less(lo, hi));
+      if constexpr (Mode == Pairs::Record) t[j * tstep] = mask[j];
     }
-    const size_t run_end = std::min(i1, (i & ~(d - 1)) + d);
-    const bool dir = up == (((i / block) % 2) == 0);
-    detail::pair_run_native(p + i, p + i + d, run_end - i, dir, less);
-    i = run_end + d;
   }
 }
 
-/// One full butterfly round over a (|a| a power of two, d < |a|): every i
-/// with (i & d) == 0 pairs with i + d, all in direction `up`.
-template <class T, class Less>
-void compare_exchange_round(const slice<T>& a, size_t d, bool up,
-                            const Less& less) {
-  const size_t m = a.size();
-  assert(util::is_pow2(m) && d >= 1 && 2 * d <= m);
-  if (instrumented()) {
-    for (size_t i = 0; i < m; ++i) {
-      if ((i & d) == 0) cex_pair(a, i, i + d, up, less);
+}  // namespace detail
+
+/// The round's pairs [w0, w1): pair w joins element (w / d) * 2d + w % d
+/// with the element d above it, in its run's direction (Round::ascends).
+/// Its tape byte, in the Record and Replay modes, is tape[r.pos + w];
+/// Compare mode writes no tape. The masks of up to kMaskChunk pairs are
+/// staged on the stack and swapped as one batch: a contiguous pair run,
+/// or — natively, when the runs are shorter than their count — one
+/// stride-2d batch per offset inside the run. When `instr` (a session is
+/// installed) every pair is ticked and its two records touched.
+template <Pairs Mode, class T, class Byte, class Less>
+void run_pairs(const slice<T>& a, const Round& r, size_t w0, size_t w1,
+               Byte* tape, const Less& less, bool instr) {
+  T* p = a.data();
+  const size_t d = r.d;
+  const unsigned lg = util::log2_exact(d);  // shifts, not divisions
+  unsigned char mask[kMaskChunk];
+  // Masks of a batch of cnt pairs (x[j * step], x[j * step + d]): pair j's
+  // run starts at element s0 + j * step, and it is the round's pair
+  // tw + j * tstep. A batch inside one aligned k-block (every batch of a
+  // merge) has one direction and gets it as a constant.
+  const auto masks = [&](const T* x, size_t step, size_t cnt, size_t s0,
+                         size_t tw, size_t tstep) {
+    Byte* t = Mode == Pairs::Compare ? tape : tape + r.pos + tw;
+    const auto run = [&](auto up) {
+      detail::pair_masks<Mode>(mask, x, step, d, cnt, t, tstep, less, up);
+    };
+    if (((s0 ^ (s0 + (cnt - 1) * step)) & ~(r.k - 1)) != 0) {
+      run([r, s0, step](size_t j) { return r.ascends(s0 + j * step); });
+    } else if (r.ascends(s0)) {
+      run([](size_t) { return true; });
+    } else {
+      run([](size_t) { return false; });
+    }
+  };
+  if (instr || ((w1 - w0) >> lg) <= d) {
+    if (instr) sim::tick(w1 - w0);
+    for (size_t w = w0; w < w1;) {
+      const size_t s = (w >> lg) << (lg + 1);  // the pair run's first element
+      const size_t o = w & (d - 1);
+      const size_t cnt = std::min(std::min(d - o, w1 - w), kMaskChunk);
+      if (instr) {
+        a.touch_range(s + o, cnt);
+        a.touch_range(s + d + o, cnt);
+      }
+      T* xa = p + s + o;
+      masks(xa, 1, cnt, s, w, 1);
+      oswap_batch_raw(reinterpret_cast<unsigned char*>(xa),
+                      reinterpret_cast<unsigned char*>(xa + d), sizeof(T),
+                      sizeof(T), mask, cnt);
+      w += cnt;
     }
     return;
   }
-  T* p = a.data();
-  for (size_t s = 0; s < m; s += 2 * d) {
-    detail::pair_run_native(p + s, p + s + d, d, up, less);
+  // Native, short runs: [w0, w1) covers whole runs (w0 and the leaf size
+  // are multiples of d). Offset o of runs k0.. is one stride-2d batch.
+  for (size_t o = 0; o < d; ++o) {
+    for (size_t k0 = w0 >> lg; k0 < w1 >> lg; k0 += kMaskChunk) {
+      const size_t cnt = std::min(kMaskChunk, (w1 >> lg) - k0);
+      T* base = p + k0 * 2 * d + o;
+      masks(base, 2 * d, cnt, k0 * 2 * d, k0 * d + o, d);
+      oswap_batch_raw(reinterpret_cast<unsigned char*>(base),
+                      reinterpret_cast<unsigned char*>(base + d), sizeof(T),
+                      2 * d * sizeof(T), mask, cnt);
+    }
   }
+}
+
+/// Execute the network's rounds on a (|a| == net.m), in reverse order when
+/// `reverse`, running every pair range through run_pairs in `Mode`. A
+/// round whose comparators span more than one tile_elems<T>() tile forks
+/// its pairs on its own. Consecutive rounds that act inside aligned tiles
+/// run tile by tile: the tiles fork, and each tile takes all of those
+/// rounds before the next tile is loaded. Native leaves are one tile's
+/// pairs, run serially; instrumented leaves are kRecordLeafPairs pairs.
+/// Rounds touch disjoint pairs, so every schedule computes the same bytes.
+template <Pairs Mode, class T, class Byte, class Less>
+void for_rounds(const slice<T>& a, const Network& net, bool reverse,
+                Byte* tape, const Less& less) {
+  const size_t m = a.size();
+  assert(m == net.m);
+  const size_t n = net.rounds();
+  const size_t tile = std::min(tile_elems<T>(), m);
+  const bool instr = instrumented();
+  const size_t grain = instr ? kRecordLeafPairs : tile / 2;
+  const auto step = [&](const Round& r) {
+    return reverse ? net.prev(r) : net.next(r);
+  };
+  const auto leaf = [&](const Round& r) {
+    return [&](size_t w0, size_t w1) {
+      run_pairs<Mode>(a, r, w0, w1, tape, less, instr);
+    };
+  };
+  Round r = reverse ? net.last() : net.first();
+  for (size_t i = 0; i < n;) {
+    if (2 * r.d > tile) {
+      fork_leaves(0, m / 2, grain, leaf(r));
+      ++i;
+      r = step(r);
+      continue;
+    }
+    const Round r0 = r;
+    const size_t i0 = i;
+    for (++i, r = step(r); i < n && 2 * r.d <= tile; ++i) r = step(r);
+    fj::for_range(0, m / tile, 1, [&](size_t t) {
+      const size_t w0 = t * (tile / 2);
+      Round q = r0;
+      for (size_t c = i0; c < i; ++c, q = step(q)) {
+        fork_leaves(w0, w0 + tile / 2, grain, leaf(q));
+      }
+    });
+  }
+}
+
+/// Run a whole network on a in compare mode: the native bitonic sorts and
+/// merges, at every size.
+template <class T, class Less>
+void run_network(const slice<T>& a, const Network& net, const Less& less) {
+  for_rounds<Pairs::Compare>(a, net, false, static_cast<uint8_t*>(nullptr),
+                             less);
 }
 
 /// Full butterfly (bitonic merge network) on a[0..m), m a power of two.
-/// Instrumented: the historical butterfly_serial loops, verbatim. Native:
-/// rounds with distance >= tile run one round at a time (pair-blocks forked
-/// in parallel); all remaining rounds run back-to-back inside each aligned
-/// L1-resident tile, so a tile is loaded once and receives log(tile) rounds
-/// before eviction.
+/// Instrumented: the historical serial round loops, verbatim. Native: the
+/// round runner.
 template <class T, class Less>
 void butterfly(const slice<T>& a, bool up, const Less& less) {
   const size_t m = a.size();
   if (m <= 1) return;
   assert(util::is_pow2(m));
-  if (instrumented()) {
-    for (size_t d = m / 2; d >= 1; d /= 2) {
-      for (size_t i = 0; i < m; ++i) {
-        if ((i & d) == 0) cex_pair(a, i, i + d, up, less);
-      }
-    }
+  if (!instrumented()) {
+    run_network(a, Network::merge(m, up), less);
     return;
   }
-  const size_t tile = std::min(tile_elems<T>(), m);
-  size_t d = m / 2;
-  for (; d >= tile; d /= 2) {
-    fj::for_range(0, m / (2 * d), 1, [&](size_t b) {
-      T* p = a.data() + b * 2 * d;
-      detail::pair_run_native(p, p + d, d, up, less);
-    });
-  }
-  fj::for_range(0, m / tile, 1, [&](size_t t) {
-    detail::tile_stage_native(a.data() + t * tile, tile, tile, up, less);
-  });
-}
-
-/// Native path only: the whole bitonic sorting network on a[0..m), m a
-/// power of two of at most tile_elems<T>(), run serially inside one
-/// L1-resident tile as log m batched merge stages. Same comparators and
-/// directions as obl::detail::bitonic_sort_naive (halves ascending then
-/// descending, top merge in `up`), hence the same output bytes.
-template <class T, class Less>
-void sort_tile(const slice<T>& a, bool up, const Less& less) {
-  const size_t m = a.size();
-  assert(!instrumented() && util::is_pow2(m) && m <= tile_elems<T>());
-  for (size_t s = 2; s <= m; s *= 2) {
-    detail::tile_stage_native(a.data(), m, s, up, less);
-  }
-}
-
-/// Batch oswap: for i in [0, count), swap a[i] and b[i] iff mask[i] != 0.
-/// The two slices must not overlap. No tick — pure data movement; callers
-/// that want the swaps accounted tick themselves.
-template <class T>
-void oswap_batch(const slice<T>& a, const slice<T>& b,
-                 const unsigned char* mask, size_t count) {
-  assert(count <= a.size() && count <= b.size());
-  if (instrumented()) {
-    for (size_t i = 0; i < count; ++i) {
-      T x = a[i];
-      T y = b[i];
-      oswap(x, y, mask[i] != 0);
-      a[i] = x;
-      b[i] = y;
+  for (size_t d = m / 2; d >= 1; d /= 2) {
+    for (size_t i = 0; i < m; ++i) {
+      if ((i & d) == 0) cex_pair(a, i, i + d, up, less);
     }
-    return;
   }
-  oswap_batch_raw(reinterpret_cast<unsigned char*>(a.data()),
-                  reinterpret_cast<unsigned char*>(b.data()), sizeof(T),
-                  sizeof(T), mask, count);
 }
 
 /// Run body(i) for each i in [lo, hi) in parallel. The blocked drop-in for

@@ -12,7 +12,6 @@
 #include <cstddef>
 
 #include "forkjoin/api.hpp"
-#include "obl/bitonic.hpp"
 #include "obl/elem.hpp"
 #include "obl/kernel/kernel.hpp"
 #include "sim/tracked.hpp"
@@ -34,7 +33,7 @@ void oe_merge(const slice<T>& a, size_t lo, size_t n, size_t r,
     // Interior round: strided independent comparators, one batched call.
     kernel::cex_strided(a, lo + r, lo + n, r, m, less);
   } else {
-    comparator(a, lo, lo + r, /*up=*/true, less);
+    kernel::cex_pair(a, lo, lo + r, /*up=*/true, less);
   }
 }
 

@@ -34,12 +34,13 @@
 // masked swaps (obl::oswap / kernel::oswap_batch_raw) and the
 // unconditional tape writes. Work ticks are likewise size-determined.
 //
-// The network runners follow the kernel layer's native idiom (mask a
-// pair run, swap it with one dispatched batch call) on both paths: every
-// round forks, and rounds that fit one L1 tile run tile by tile. Under an
-// instrumented session the leaves are a constant run of pairs that tick
-// and touch_range exactly the records they swap, so the cost model sees
-// O(log m) span per round without perturbing the comparator schedule.
+// The recorded networks run on the kernel layer's bitonic round runner
+// (kernel::for_rounds, with run_pairs in its Record and Replay modes) on
+// both paths: every round forks, and rounds that fit one L1 tile run tile
+// by tile. Under an instrumented session the leaves are a constant run of
+// pairs that tick and touch_range exactly the records they swap, so the
+// cost model sees O(log m) span per round without perturbing the
+// comparator schedule.
 // distribute_monotone and compact_monotone take the kernel layer's dual
 // path: per-element ticks and touches under a grain-1 fork tree when
 // instrumented, blocked memcpy + batched masked swaps natively.
@@ -65,183 +66,25 @@ namespace dopar::obl {
 
 namespace route_detail {
 
-/// One all-pairs round of a comparator network on m records: every i with
-/// (i & d) == 0 pairs with i + d (m/2 comparators). `k` is the bitonic
-/// sort stage size fixing pair directions ((s & k) == 0 means ascending);
-/// merge rounds use k = 0 (always ascending). `pos` is the round's tape
-/// offset (round index * m/2).
-struct Round {
-  size_t k;
-  size_t d;
-  size_t pos;
-};
-
-/// Rounds of the full bitonic sorting network (ascending), in execution
-/// order. O(log^2 m) entries.
-inline std::vector<Round> sort_rounds(size_t m) {
-  std::vector<Round> r;
-  size_t pos = 0;
-  for (size_t k = 2; k <= m; k <<= 1) {
-    for (size_t d = k >> 1; d >= 1; d >>= 1) {
-      r.push_back({k, d, pos});
-      pos += m / 2;
-    }
-  }
-  return r;
-}
-
-/// Rounds of one ascending bitonic merger. O(log m) entries.
-inline std::vector<Round> merge_rounds(size_t m) {
-  std::vector<Round> r;
-  size_t pos = 0;
-  for (size_t d = m >> 1; d >= 1; d >>= 1) {
-    r.push_back({0, d, pos});
-    pos += m / 2;
-  }
-  return r;
-}
-
-/// Pairs per forked leaf of an instrumented recorded round: the
-/// bitonic_ca analytic base. A fork per comparator would roughly double
-/// the network's analytic work; a constant run keeps the round's span at
-/// O(log m) while adding one join per eight comparators.
-inline constexpr size_t kRecordLeafPairs = 8;
-
-/// Fork [lo, hi) in halves down to runs of at most `grain`, then f(lo, hi).
-/// Unlike fj::for_blocks the grain also holds under a session, so the
-/// instrumented fork tree stops at a constant run of pairs.
-template <class F>
-void fork_leaves(size_t lo, size_t hi, size_t grain, const F& f) {
-  if (hi - lo <= grain) {
-    f(lo, hi);
-    return;
-  }
-  const size_t mid = lo + (hi - lo) / 2;
-  fj::invoke([&] { fork_leaves(lo, mid, grain, f); },
-             [&] { fork_leaves(mid, hi, grain, f); });
-}
-
-/// The round's pairs [w0, w1): pair w joins element (w / d) * 2d + w % d
-/// with the element d above it, ascending iff that element's k-block is
-/// even, and its tape byte is tape[r.pos + w]. Recording writes each
-/// pair's wrong-order mask there; a replay reads it. Either way the
-/// masked swaps run as batches: contiguous pair runs, or — natively,
-/// when the runs are shorter than their count — one strided batch per
-/// offset inside the run, as kernel::tile_stage_native does. Under a
-/// session every pair is ticked and its two records touched.
-template <bool Record, class T, class Byte, class Less>
-void run_pairs(const slice<T>& a, const Round& r, size_t w0, size_t w1,
-               Byte* tape, const Less& less) {
-  T* p = a.data();
-  const size_t d = r.d;
-  Byte* t = tape + r.pos;
-  const auto mask_of = [&](const T& x, const T& y, size_t s, size_t w) {
-    if constexpr (Record) {
-      t[w] = static_cast<uint8_t>((s & r.k) == 0 ? less(y, x) : less(x, y));
-    }
-    return t[w];
-  };
-  const bool instr = sim::current_session() != nullptr;
-  if (instr || d >= (w1 - w0) / d) {
-    if (instr) sim::tick(w1 - w0);
-    for (size_t w = w0; w < w1;) {
-      const size_t s = (w / d) * 2 * d;  // the pair run's first element
-      const size_t o = w % d;
-      const size_t cnt = std::min(d - o, w1 - w);
-      if (instr) {
-        a.touch_range(s + o, cnt);
-        a.touch_range(s + d + o, cnt);
-      }
-      T* xa = p + s + o;
-      for (size_t j = 0; j < cnt; ++j) mask_of(xa[j], xa[j + d], s, w + j);
-      kernel::oswap_batch_raw(reinterpret_cast<unsigned char*>(xa),
-                              reinterpret_cast<unsigned char*>(xa + d),
-                              sizeof(T), sizeof(T), t + w, cnt);
-      w += cnt;
-    }
-    return;
-  }
-  // Native, short runs: [w0, w1) covers whole runs (w0 and the leaf size
-  // are multiples of d). Offset o of runs k0.. is one stride-2d batch.
-  unsigned char mask[kernel::kMaskChunk];
-  for (size_t o = 0; o < d; ++o) {
-    for (size_t k0 = w0 / d; k0 < w1 / d; k0 += kernel::kMaskChunk) {
-      const size_t cnt = std::min(kernel::kMaskChunk, w1 / d - k0);
-      T* base = p + k0 * 2 * d + o;
-      for (size_t j = 0; j < cnt; ++j) {
-        const size_t k = k0 + j;
-        mask[j] = mask_of(base[j * 2 * d], base[j * 2 * d + d], k * 2 * d,
-                          k * d + o);
-      }
-      kernel::oswap_batch_raw(reinterpret_cast<unsigned char*>(base),
-                              reinterpret_cast<unsigned char*>(base + d),
-                              sizeof(T), 2 * d * sizeof(T), mask, cnt);
-    }
-  }
-}
-
-/// Execute the rounds (in reverse order when `reverse`), handing every
-/// pair range to leaf(round, w0, w1). A round whose comparators span more
-/// than one kernel::tile_elems<T>() tile forks its pairs on its own.
-/// Consecutive rounds that act inside aligned tiles run tile by tile: the
-/// tiles fork, and each tile takes all of those rounds before the next
-/// tile is loaded. Native leaves are one tile's pairs, run serially;
-/// instrumented leaves are kRecordLeafPairs pairs. Rounds touch disjoint
-/// pairs, so every schedule computes the same bytes.
-template <class T, class Leaf>
-void for_rounds(const slice<T>& a, const std::vector<Round>& rounds,
-                bool reverse, const Leaf& leaf) {
-  const size_t m = a.size();
-  const size_t n = rounds.size();
-  const size_t tile = std::min(kernel::tile_elems<T>(), m);
-  const size_t grain =
-      sim::current_session() != nullptr ? kRecordLeafPairs : tile / 2;
-  const auto at = [&](size_t i) -> const Round& {
-    return rounds[reverse ? n - 1 - i : i];
-  };
-  for (size_t i = 0; i < n;) {
-    if (2 * at(i).d > tile) {
-      const Round& r = at(i);
-      fork_leaves(0, m / 2, grain,
-                  [&](size_t w0, size_t w1) { leaf(r, w0, w1); });
-      ++i;
-      continue;
-    }
-    size_t j = i + 1;
-    while (j < n && 2 * at(j).d <= tile) ++j;
-    fj::for_range(0, m / tile, 1, [&](size_t t) {
-      const size_t w0 = t * (tile / 2);
-      for (size_t q = i; q < j; ++q) {
-        const Round& r = at(q);
-        fork_leaves(w0, w0 + tile / 2, grain,
-                    [&](size_t u0, size_t u1) { leaf(r, u0, u1); });
-      }
-    });
-    i = j;
-  }
-}
-
-/// Run the rounds forward, recording every swap decision: tape byte
-/// r.pos + w is the wrong-order mask of the round's pair w.
+/// Run the network forward, recording every swap decision: tape byte
+/// r.pos + w is the wrong-order mask of round r's pair w.
 template <class T, class Less>
-void run_recorded(const slice<T>& a, const std::vector<Round>& rounds,
+void run_recorded(const slice<T>& a, const kernel::Network& net,
                   std::vector<uint8_t>& tape, const Less& less) {
-  tape.resize(rounds.size() * (a.size() / 2));
-  for_rounds(a, rounds, false, [&](const Round& r, size_t w0, size_t w1) {
-    run_pairs<true>(a, r, w0, w1, tape.data(), less);
-  });
+  tape.resize(net.rounds() * (a.size() / 2));
+  kernel::for_rounds<kernel::Pairs::Record>(a, net, false, tape.data(),
+                                            less);
 }
 
 /// Exactly invert a recorded run: rounds in reverse order, swapping
 /// precisely where the forward pass swapped (comparison-free).
 template <class T>
-void replay_inverse(const slice<T>& a, const std::vector<Round>& rounds,
+void replay_inverse(const slice<T>& a, const kernel::Network& net,
                     const std::vector<uint8_t>& tape) {
-  assert(tape.size() == rounds.size() * (a.size() / 2));
+  assert(tape.size() == net.rounds() * (a.size() / 2));
   const auto no_compare = [](const T&, const T&) { return false; };
-  for_rounds(a, rounds, true, [&](const Round& r, size_t w0, size_t w1) {
-    run_pairs<false>(a, r, w0, w1, tape.data(), no_compare);
-  });
+  kernel::for_rounds<kernel::Pairs::Replay>(a, net, true, tape.data(),
+                                            no_compare);
 }
 
 }  // namespace route_detail
@@ -256,7 +99,7 @@ void bitonic_sort_record(const slice<T>& a, std::vector<uint8_t>& tape,
     tape.clear();
     return;
   }
-  route_detail::run_recorded(a, route_detail::sort_rounds(a.size()), tape,
+  route_detail::run_recorded(a, kernel::Network::sort(a.size(), true), tape,
                              less);
 }
 
@@ -266,7 +109,8 @@ template <class T>
 void bitonic_sort_unreplay(const slice<T>& a,
                            const std::vector<uint8_t>& tape) {
   if (a.size() < 2) return;
-  route_detail::replay_inverse(a, route_detail::sort_rounds(a.size()), tape);
+  route_detail::replay_inverse(a, kernel::Network::sort(a.size(), true),
+                               tape);
 }
 
 /// Merge a bitonic sequence (non-decreasing then non-increasing under
@@ -279,7 +123,7 @@ void bitonic_merge_record(const slice<T>& a, std::vector<uint8_t>& tape,
     tape.clear();
     return;
   }
-  route_detail::run_recorded(a, route_detail::merge_rounds(a.size()), tape,
+  route_detail::run_recorded(a, kernel::Network::merge(a.size(), true), tape,
                              less);
 }
 
@@ -288,7 +132,7 @@ template <class T>
 void bitonic_merge_unreplay(const slice<T>& a,
                             const std::vector<uint8_t>& tape) {
   if (a.size() < 2) return;
-  route_detail::replay_inverse(a, route_detail::merge_rounds(a.size()),
+  route_detail::replay_inverse(a, kernel::Network::merge(a.size(), true),
                                tape);
 }
 

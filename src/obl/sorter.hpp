@@ -14,10 +14,12 @@
 // A network must (a) realize the sorting functionality on power-of-two
 // arrays and (b) have an input-independent access-pattern distribution.
 //
-// All four policies execute their comparator rounds through the batch APIs
-// in obl/kernel/kernel.hpp: instrumented runs replay the historical
-// per-comparator loops exactly (accounting and trace digests unchanged);
-// uninstrumented runs take the runtime-dispatched SIMD oswap kernels.
+// All four policies execute their comparator rounds through the kernel
+// layer (obl/kernel/kernel.hpp): instrumented runs replay the historical
+// per-comparator loops exactly (accounting and trace digests unchanged).
+// Uninstrumented, the three bitonic policies run every round on the one
+// bitonic round runner and the odd-even policy on strided batches, all
+// feeding the runtime-dispatched SIMD oswap kernels.
 
 #include "obl/bitonic.hpp"
 #include "obl/bitonic_ca.hpp"
@@ -48,7 +50,7 @@ struct PlainBitonicSorter {
 struct NaiveBitonicSorter {
   template <class T, class Less>
   void operator()(const slice<T>& a, const Less& less) const {
-    bitonic_sort_layerwise(a, /*up=*/true, less);
+    bitonic_sort_layerwise(a, less);
   }
 };
 

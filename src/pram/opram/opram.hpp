@@ -15,9 +15,9 @@
 //     shared within groups by segmented scans — the paper's oblivious
 //     propagation/aggregation, specialized to the sorted request array.
 //   * eviction is deterministic reverse-lexicographic, 2 paths per
-//     request (substitution #3 in DESIGN.md: this replaces CCS17's
-//     pool/subtree machinery; work shape O(p log^2 s) per batch and
-//     obliviousness are preserved, the span loses a log factor).
+//     request (a simplification: this replaces CCS17's pool/subtree
+//     machinery; work shape O(p log^2 s) per batch and obliviousness
+//     are preserved, the span loses a log factor).
 //
 // Obliviousness: every path index the adversary sees is uniformly random
 // (real positions are one-time, dummies are fresh), eviction order is

@@ -196,10 +196,11 @@ TEST(BitonicCa, SpanGrowsLikeLogSquared) {
   EXPECT_GT(r, 1.05);
 }
 
-// Native ≡ instrumented: the native paths (serial in-tile networks, forks
-// only above a tile, run on a 4-thread pool) must write the same bytes as
-// the instrumented naive recursion, ties included. Keys are duplicate-heavy
-// and payloads distinct, so any change of comparator or direction shows.
+// Native ≡ instrumented: the native paths (the bitonic round runner and
+// the odd-even network's strided batches, run on a 4-thread pool) must
+// write the same bytes as the instrumented schedules, ties included. Keys
+// are duplicate-heavy and payloads distinct, so any change of comparator
+// or direction shows.
 Elem dup_rec(Elem, uint64_t key, uint64_t id) {
   Elem e;
   e.key = key;
@@ -218,6 +219,8 @@ obl::BinItem<core::Routed> dup_rec(obl::BinItem<core::Routed>, uint64_t key,
   return it;
 }
 
+enum class NativeNet { Bitonic, BitonicCa, Layerwise, OddEven };
+
 template <class T, class Less>
 void expect_native_matches_instrumented(const Less& less) {
   fj::WithPool wp(3);
@@ -227,13 +230,27 @@ void expect_native_matches_instrumented(const Less& less) {
     for (size_t i = 0; i < n; ++i) {
       in[i] = dup_rec(T{}, rng.below(1 + n / 16), i);
     }
-    for (const bool ca : {false, true}) {
+    for (const NativeNet net : {NativeNet::Bitonic, NativeNet::BitonicCa,
+                                NativeNet::Layerwise, NativeNet::OddEven}) {
+      // The layerwise and odd-even networks sort ascending only.
+      const bool directed =
+          net == NativeNet::Bitonic || net == NativeNet::BitonicCa;
       for (const bool up : {true, false}) {
+        if (!up && !directed) continue;
         auto sort = [&](const slice<T>& a) {
-          if (ca) {
-            obl::bitonic_sort_ca(a, up, less);
-          } else {
-            obl::bitonic_sort(a, up, less);
+          switch (net) {
+            case NativeNet::Bitonic:
+              obl::bitonic_sort(a, up, less);
+              break;
+            case NativeNet::BitonicCa:
+              obl::bitonic_sort_ca(a, up, less);
+              break;
+            case NativeNet::Layerwise:
+              obl::bitonic_sort_layerwise(a, less);
+              break;
+            case NativeNet::OddEven:
+              obl::odd_even_merge_sort(a, less);
+              break;
           }
         };
         vec<T> native(in);
@@ -247,7 +264,7 @@ void expect_native_matches_instrumented(const Less& less) {
           expect = inst.underlying();
         }
         ASSERT_EQ(std::memcmp(native.data(), expect.data(), n * sizeof(T)), 0)
-            << "n=" << n << " ca=" << ca << " up=" << up;
+            << "n=" << n << " net=" << static_cast<int>(net) << " up=" << up;
       }
     }
   }

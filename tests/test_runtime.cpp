@@ -178,6 +178,44 @@ TEST(RuntimeContract, SortRecordsRejectsFillerSentinelKey) {
   EXPECT_EQ(keys, (std::vector<uint64_t>{3, 5, ~uint64_t{0} - 1}));
 }
 
+// backend_sort pads a non-power-of-two input with fillers keyed 2^64-1; a
+// record with that key used to tie with them and could be dropped while a
+// filler took its place in the output.
+TEST(RuntimeContract, BackendSortRejectsReservedKey) {
+  auto rt = Runtime::builder().seed(2).build();
+  for (const char* backend : {"bitonic_ca", "bitonic", "naive_bitonic"}) {
+    const SortOptions opts{.backend = backend, .variant = {}, .params = {}};
+    for (const size_t n : {size_t{6}, size_t{7}, size_t{64}, size_t{100}}) {
+      std::vector<obl::Elem> in(n);
+      for (size_t i = 0; i < n; ++i) {
+        in[i].key = i % 2 == 0 ? 7 : ~uint64_t{0};
+        in[i].payload = i;
+      }
+      vec<obl::Elem> v = rt.make_vec(in);
+      EXPECT_THROW(rt.backend_sort(v.s(), opts), std::invalid_argument)
+          << backend << " n=" << n;
+      for (size_t i = 0; i < n; ++i) {  // untouched
+        ASSERT_EQ(v.s().raw(i).key, in[i].key) << backend << " n=" << n;
+      }
+      // The largest legal key sorts, and every record survives.
+      for (obl::Elem& e : in) e.key = std::min(e.key, ~uint64_t{0} - 1);
+      vec<obl::Elem> ok = rt.make_vec(in);
+      rt.backend_sort(ok.s(), opts);
+      std::vector<uint64_t> payloads;
+      for (size_t i = 0; i < n; ++i) {
+        payloads.push_back(ok.s().raw(i).payload);
+        if (i > 0) {
+          ASSERT_LE(ok.s().raw(i - 1).key, ok.s().raw(i).key) << backend;
+        }
+      }
+      std::sort(payloads.begin(), payloads.end());
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(payloads[i], i) << backend << " n=" << n;
+      }
+    }
+  }
+}
+
 // Output and per-address arrays must match the address count; a mismatch
 // used to write past the smaller buffer.
 TEST(RuntimeContract, GatherAndScatterRejectSizeMismatch) {
