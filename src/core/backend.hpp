@@ -16,7 +16,9 @@
 // (Batcher network, AKS stand-in), "osort" (the full oblivious sort of
 // Theorem 3.2 — the Table 2 sorting-bound rows), "spms" (the full sort
 // with the genuine Sample-Partition-Merge comparison phase, core/spms.hpp
-// — the paper's optimal configuration). The registry stays open:
+// — the paper's optimal configuration). The three bitonic backends
+// realize one network and share one native path; they differ only in
+// their instrumented schedules. The registry stays open:
 // register_backend() adds or replaces a named backend in one call.
 //
 // Interface shape: the primitives express every order either as the

@@ -77,11 +77,8 @@ inline void orp_attempt(const slice<obl::Elem>& in,
   });
 
   // Sort each bin by label (fixed pattern per bin).
-  vec<Routed> scratchv(total);
-  const slice<Routed> scratch = scratchv.s();
   fj::for_range(0, bins.beta, 1, [&](size_t b) {
-    obl::bitonic_sort_ca(w.sub(b * bins.Z, bins.Z),
-                         scratch.sub(b * bins.Z, bins.Z), /*up=*/true,
+    obl::bitonic_sort_ca(w.sub(b * bins.Z, bins.Z), /*up=*/true,
                          detail::ByLabel{});
   });
 

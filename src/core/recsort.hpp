@@ -207,9 +207,7 @@ inline void rec_sort(const slice<obl::Elem>& a, uint64_t seed,
 
   // Final touch: bitonic-sort each bin (fillers sink), then concatenate.
   fj::for_range(0, r, 1, [&](size_t b) {
-    vec<Elem> local_scratch(cap);
-    obl::bitonic_sort_ca(data.sub(b * cap, cap), local_scratch.s(),
-                         /*up=*/true, less);
+    obl::bitonic_sort_ca(data.sub(b * cap, cap), /*up=*/true, less);
   });
 
   // Prefix sums of loads give each bin's output offset.

@@ -65,9 +65,9 @@ namespace dopar::core {
 ///   * Theoretical — wide fanout (the paper's sqrt-flavoured two-level
 ///     recursion, clamped), small serial cutoff: the recursion structure
 ///     dominates, which is what analytic span/work measurements model.
-///   * Practical   — fanout 16, larger serial cutoff (tuned the same way
-///     as obl::detail::kBitonicCaBase: big enough that native runs are
-///     not fork-bound, small enough that buckets stay in cache).
+///   * Practical   — fanout 16, larger serial cutoff (big enough that
+///     native runs are not fork-bound, small enough that buckets stay in
+///     cache).
 struct SpmsTuning {
   size_t fanout = 0;         ///< max runs merged at once (power of two)
   size_t serial_cutoff = 0;  ///< at or below: serial insertion sort

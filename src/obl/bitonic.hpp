@@ -5,19 +5,21 @@
 // forking the comparators of each layer gives O(n log^2 n) work,
 // O(log^3 n) span and O((n/B) log^2 n) cache misses. The cache-agnostic
 // variant (bitonic_ca.hpp) reuses the same comparator network with the
-// transpose-based recursion of Theorem E.1. Both are data-oblivious: the
-// comparator sequence is a fixed function of n.
+// transpose-based recursion of Theorem E.1, and the layerwise sorter below
+// with the literal PRAM schedule. All are data-oblivious: the comparator
+// sequence is a fixed function of n.
 //
-// Native runs (no sim::Session) execute the same network on the kernel
-// layer's round runner (kernel::run_network): a subproblem of at most
+// The three schedules differ only under a sim::Session, where their
+// accounting is what the paper's bounds and the committed analytic
+// snapshots describe. Native runs (no session) of all three execute the
+// network on one path, bitonic_sort_native, over the kernel layer's round
+// runner (kernel::run_network): a subproblem of at most
 // kernel::tile_elems<T>() records (one 16 KiB L1 tile) runs its whole
 // network serially inside the tile; larger ones fork their halves and
 // merge with the runner, whose rounds fork above a tile and run tile by
 // tile below it. Forking down to single comparators would cost far more
-// than the comparators themselves on a real pool. Instrumented runs keep
-// the naive recursion, whose accounting is what the paper's bounds and the
-// committed analytic snapshots describe. Same comparators and directions
-// on both paths, so the same output bytes, ties included.
+// than the comparators themselves on a real pool. Same comparators and
+// directions on every path, so the same output bytes, ties included.
 //
 // The element count must be a power of two; callers pad with +inf fillers
 // (Elem::filler() sorts last under ByKey).
@@ -59,7 +61,8 @@ void bitonic_sort_naive(const slice<T>& a, size_t lo, size_t n, bool up,
   bitonic_merge_naive(a, lo, n, up, less);
 }
 
-/// Native execution of bitonic_sort_naive's network (see the header).
+/// Native execution of bitonic_sort_naive's network (see the header): the
+/// native path of every bitonic sorter.
 template <class T, class Less>
 void bitonic_sort_native(const slice<T>& a, bool up, const Less& less) {
   const size_t n = a.size();
@@ -93,15 +96,14 @@ void bitonic_sort(const slice<T>& a, bool up = true, const Less& less = {}) {
 /// schedule with every layer's comparators forked in a binary tree — the
 /// "naive parallelization" Theorem E.1 improves on. Span O(log^3 n) and
 /// cache O((n/B) log^2 n): each of the log n (log n + 1)/2 layers scans the
-/// whole array. Native runs execute the same rounds, flat, on the round
-/// runner.
+/// whole array. Native runs take bitonic_sort's native path.
 template <class T, class Less = ByKey>
 void bitonic_sort_layerwise(const slice<T>& a, const Less& less = {}) {
   const size_t n = a.size();
   assert(util::is_pow2(n) || n == 0);
   if (n <= 1) return;
   if (!kernel::instrumented()) {
-    kernel::run_network(a, kernel::Network::sort(n, true), less);
+    detail::bitonic_sort_native(a, true, less);
     return;
   }
   for (size_t block = 2; block <= n; block *= 2) {

@@ -16,11 +16,15 @@
 // The comparator sequence (hence the access pattern) is a fixed function of
 // n — data-oblivious by construction.
 //
-// Native runs (no sim::Session) stop the transpose recursion at
-// kBitonicCaNativeBase records and run the base sorts and merges on the
-// kernel layer's bitonic round runner; instrumented runs recurse down to
-// the analytic base kBitonicCaBase and run its serial instrumented
-// butterfly.
+// The transpose recursion is the Theorem E.1 analytic schedule only: it
+// runs under a sim::Session, down to the base kBitonicCaBase, and only
+// there allocates its scratch buffer. Native runs (no session) execute the
+// same network on bitonic_sort's native path (detail::bitonic_sort_native),
+// which measured faster than shuffling through scratch at every size from
+// 2^13 to 2^20, for 32- and 48-byte records, at 1 and 4 threads. Both paths
+// sort the halves ascending then descending at every level, as
+// bitonic_sort does, so all bitonic sorters realize one network and write
+// the same bytes, ties included.
 
 #include <cassert>
 #include <cstddef>
@@ -38,31 +42,29 @@ namespace dopar::obl {
 namespace detail {
 
 /// Problem sizes at or below this run the butterfly directly (still a fixed
-/// network). Must be a power of two. This is the *analytic-model* base:
-/// instrumented runs recurse all the way down to it so the measured
-/// work/span/cache asymptotics (and trace digests) match the paper's
-/// recursion — and stay identical to every previously committed snapshot.
+/// network). Must be a power of two. The instrumented recursion goes all
+/// the way down to it, so the measured work/span/cache asymptotics (and
+/// trace digests) match the paper's recursion.
 inline constexpr size_t kBitonicCaBase = 8;
 
-/// Base for uninstrumented native execution. The transpose recursion only
-/// pays off once a subproblem outgrows cache; below this, the kernel
-/// layer's round runner (bitonic_sort's native sorts, kernel::butterfly's
-/// native merges: serial inside L1 tiles, forked above them) is faster
-/// than shuffling through scratch. Same comparator network either way (see
-/// the half-direction rule in sort_ca) — outputs are identical, only the
-/// execution order of independent comparators differs.
-inline constexpr size_t kBitonicCaNativeBase = 4096;
-
-inline size_t bitonic_ca_base() {
-  return sim::current_session() ? kBitonicCaBase : kBitonicCaNativeBase;
+/// Full butterfly (bitonic merge network) on a[0..m): the serial round
+/// loops of merge_ca's base.
+template <class T, class Less>
+void butterfly(const slice<T>& a, bool up, const Less& less) {
+  const size_t m = a.size();
+  for (size_t d = m / 2; d >= 1; d /= 2) {
+    for (size_t i = 0; i < m; ++i) {
+      if ((i & d) == 0) kernel::cex_pair(a, i, i + d, up, less);
+    }
+  }
 }
 
 template <class T, class Less>
 void merge_ca(const slice<T>& data, const slice<T>& scratch, bool up,
               const Less& less) {
   const size_t m = data.size();
-  if (m <= bitonic_ca_base()) {
-    kernel::butterfly(data, up, less);
+  if (m <= kBitonicCaBase) {
+    butterfly(data, up, less);
     return;
   }
   const unsigned k = util::log2_exact(m);
@@ -85,46 +87,32 @@ template <class T, class Less>
 void sort_ca(const slice<T>& data, const slice<T>& scratch, bool up,
              const Less& less) {
   const size_t n = data.size();
-  if (n <= bitonic_ca_base()) {
+  if (n <= kBitonicCaBase) {
     bitonic_sort(data, up, less);
     return;
   }
-  // Half directions: above the native base the transpose recursion sorts
-  // (up, !up); at or below it the network is bitonic_sort's, whose halves
-  // run ascending then descending. Instrumented runs recurse past the
-  // native base, so they follow the same rule: both paths then realize one
-  // network, and records with equal keys land in the same order. (The
-  // directions never change which addresses a comparator touches.)
   const size_t h = n / 2;
-  const bool lo_up = n <= kBitonicCaNativeBase ? true : up;
-  fj::invoke(
-      [&] { sort_ca(data.first(h), scratch.first(h), lo_up, less); },
-      [&] { sort_ca(data.last(h), scratch.last(h), !lo_up, less); });
+  fj::invoke([&] { sort_ca(data.first(h), scratch.first(h), true, less); },
+             [&] { sort_ca(data.last(h), scratch.last(h), false, less); });
   merge_ca(data, scratch, up, less);
 }
 
 }  // namespace detail
 
-/// Cache-agnostic bitonic sort; |data| a power of two. Allocates one
-/// scratch buffer of equal size.
+/// Cache-agnostic bitonic sort; |data| a power of two. Instrumented: the
+/// transpose recursion over one scratch buffer of equal size. Native:
+/// bitonic_sort's native path, no scratch.
 template <class T, class Less = ByKey>
 void bitonic_sort_ca(const slice<T>& data, bool up = true,
                      const Less& less = {}) {
   assert(util::is_pow2(data.size()) || data.size() == 0);
   if (data.size() <= 1) return;
+  if (!kernel::instrumented()) {
+    detail::bitonic_sort_native(data, up, less);
+    return;
+  }
   vec<T> scratch(data.size());
   detail::sort_ca(data, scratch.s(), up, less);
-}
-
-/// Variant reusing a caller-provided scratch buffer (hot paths: REC-ORBA
-/// base cases run many small sorts and should not allocate per call).
-template <class T, class Less = ByKey>
-void bitonic_sort_ca(const slice<T>& data, const slice<T>& scratch,
-                     bool up = true, const Less& less = {}) {
-  assert(data.size() == scratch.size());
-  assert(util::is_pow2(data.size()) || data.size() == 0);
-  if (data.size() <= 1) return;
-  detail::sort_ca(data, scratch, up, less);
 }
 
 }  // namespace dopar::obl

@@ -15,18 +15,18 @@
 //     bulk copies.
 //
 // Bitonic networks have one native executor, the round runner below
-// (Network, for_rounds, run_pairs): bitonic_sort's sorts and merges,
-// bitonic_ca's native base, the layerwise sorter and the recorded sorts
-// and merges of obl/route.hpp all run their rounds through it. A round
+// (Network, for_rounds, run_pairs): the native sorts and merges of every
+// bitonic sorter (obl/bitonic.hpp's bitonic_sort_native) and the recorded
+// sorts and merges of obl/route.hpp all run their rounds through it. A round
 // whose comparators span more than one L1 tile (kL1TileBytes: 512 Elem,
 // 256 BinItem<Routed>) forks its pairs; consecutive rounds inside aligned
 // tiles run tile by tile, so a tile is loaded once for all of them. A
 // fork on the real pool costs about 100 ns, so a native leaf is one
 // tile's pairs, run serially. The instrumented comparator schedules (the
-// fork-per-comparator recursions and the serial butterfly) keep their
-// historical shape because the paper's work/span/cache analysis, the
-// committed analytic snapshots and the trace digests are all stated over
-// them, not over the native schedule.
+// fork-per-comparator recursions and bitonic_ca's serial butterfly) keep
+// their historical shape because the paper's work/span/cache analysis,
+// the committed analytic snapshots and the trace digests are all stated
+// over them, not over the native schedule.
 //
 // The dual-path rule is safe because a comparator network is a fixed
 // function of n: the set of (i, j, dir) comparators is identical on both
@@ -350,25 +350,6 @@ template <class T, class Less>
 void run_network(const slice<T>& a, const Network& net, const Less& less) {
   for_rounds<Pairs::Compare>(a, net, false, static_cast<uint8_t*>(nullptr),
                              less);
-}
-
-/// Full butterfly (bitonic merge network) on a[0..m), m a power of two.
-/// Instrumented: the historical serial round loops, verbatim. Native: the
-/// round runner.
-template <class T, class Less>
-void butterfly(const slice<T>& a, bool up, const Less& less) {
-  const size_t m = a.size();
-  if (m <= 1) return;
-  assert(util::is_pow2(m));
-  if (!instrumented()) {
-    run_network(a, Network::merge(m, up), less);
-    return;
-  }
-  for (size_t d = m / 2; d >= 1; d /= 2) {
-    for (size_t i = 0; i < m; ++i) {
-      if ((i & d) == 0) cex_pair(a, i, i + d, up, less);
-    }
-  }
 }
 
 /// Run body(i) for each i in [lo, hi) in parallel. The blocked drop-in for

@@ -17,9 +17,10 @@
 // All four policies execute their comparator rounds through the kernel
 // layer (obl/kernel/kernel.hpp): instrumented runs replay the historical
 // per-comparator loops exactly (accounting and trace digests unchanged).
-// Uninstrumented, the three bitonic policies run every round on the one
-// bitonic round runner and the odd-even policy on strided batches, all
-// feeding the runtime-dispatched SIMD oswap kernels.
+// The three bitonic policies realize one network and differ only in those
+// instrumented schedules: uninstrumented, all three take bitonic_sort's
+// native path on the bitonic round runner, and the odd-even policy runs
+// strided batches, all feeding the runtime-dispatched SIMD oswap kernels.
 
 #include "obl/bitonic.hpp"
 #include "obl/bitonic_ca.hpp"
@@ -36,8 +37,9 @@ struct BitonicSorter {
   }
 };
 
-/// Depth-first recursive bitonic sorter (same network as BitonicSorter,
-/// scheduled without the transpose recursion — cache O((n/B) log^2 n)).
+/// Depth-first recursive bitonic sorter (same network as BitonicSorter;
+/// its instrumented schedule has no transpose recursion — cache
+/// O((n/B) log^2 n)).
 struct PlainBitonicSorter {
   template <class T, class Less>
   void operator()(const slice<T>& a, const Less& less) const {

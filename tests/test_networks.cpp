@@ -198,7 +198,9 @@ TEST(BitonicCa, SpanGrowsLikeLogSquared) {
 
 // Native ≡ instrumented: the native paths (the bitonic round runner and
 // the odd-even network's strided batches, run on a 4-thread pool) must
-// write the same bytes as the instrumented schedules, ties included. Keys
+// write the same bytes as the instrumented schedules, ties included. The
+// three bitonic sorters realize one network, so bitonic_sort_ca and the
+// (ascending) layerwise sorter must also write bitonic_sort's bytes. Keys
 // are duplicate-heavy and payloads distinct, so any change of comparator
 // or direction shows.
 Elem dup_rec(Elem, uint64_t key, uint64_t id) {
@@ -230,12 +232,13 @@ void expect_native_matches_instrumented(const Less& less) {
     for (size_t i = 0; i < n; ++i) {
       in[i] = dup_rec(T{}, rng.below(1 + n / 16), i);
     }
-    for (const NativeNet net : {NativeNet::Bitonic, NativeNet::BitonicCa,
-                                NativeNet::Layerwise, NativeNet::OddEven}) {
-      // The layerwise and odd-even networks sort ascending only.
-      const bool directed =
-          net == NativeNet::Bitonic || net == NativeNet::BitonicCa;
-      for (const bool up : {true, false}) {
+    for (const bool up : {true, false}) {
+      std::vector<T> bitonic_ref;  // bitonic_sort's output in direction up
+      for (const NativeNet net : {NativeNet::Bitonic, NativeNet::BitonicCa,
+                                  NativeNet::Layerwise, NativeNet::OddEven}) {
+        // The layerwise and odd-even networks sort ascending only.
+        const bool directed =
+            net == NativeNet::Bitonic || net == NativeNet::BitonicCa;
         if (!up && !directed) continue;
         auto sort = [&](const slice<T>& a) {
           switch (net) {
@@ -265,6 +268,15 @@ void expect_native_matches_instrumented(const Less& less) {
         }
         ASSERT_EQ(std::memcmp(native.data(), expect.data(), n * sizeof(T)), 0)
             << "n=" << n << " net=" << static_cast<int>(net) << " up=" << up;
+        if (net == NativeNet::Bitonic) {
+          bitonic_ref = expect;
+        } else if (net != NativeNet::OddEven) {
+          ASSERT_EQ(
+              std::memcmp(native.data(), bitonic_ref.data(), n * sizeof(T)),
+              0)
+              << "n=" << n << " net=" << static_cast<int>(net) << " up=" << up
+              << ": differs from bitonic_sort";
+        }
       }
     }
   }

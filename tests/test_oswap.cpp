@@ -223,9 +223,11 @@ TEST(OswapTyped, PaddingBytesArePreservedVerbatim) {
 // ---- the bitonic round runner ------------------------------------------
 
 TEST(KernelRounds, ButterflyOutputIdenticalAcrossIsas) {
-  // Below one tile (512 Elem) the runner takes every round tile by tile;
-  // above it, the long rounds fork their pairs first. Each ISA, in both
-  // directions, must match a scalar reference over the plain pair loop.
+  // The native merge of every bitonic sort: one butterfly network on the
+  // round runner. Below one tile (512 Elem) the runner takes every round
+  // tile by tile; above it, the long rounds fork their pairs first. Each
+  // ISA, in both directions, must match a scalar reference over the plain
+  // pair loop.
   for (size_t n : {size_t{256}, size_t{4096}}) {
     std::vector<Elem> input(n);
     util::Rng rng(4242 + n);
@@ -246,7 +248,8 @@ TEST(KernelRounds, ButterflyOutputIdenticalAcrossIsas) {
       for (Isa isa : supported_isas()) {
         ScopedIsa guard(isa);
         vec<Elem> v(input);
-        obl::kernel::butterfly(v.s(), up, obl::ByKey{});
+        obl::kernel::run_network(v.s(), obl::kernel::Network::merge(n, up),
+                                 obl::ByKey{});
         ASSERT_EQ(0, std::memcmp(v.underlying().data(), ref.data(),
                                  n * sizeof(Elem)))
             << obl::kernel::isa_name(isa) << " n=" << n << " up=" << up;
