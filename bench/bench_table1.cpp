@@ -94,7 +94,7 @@ int main() {
     auto data = rand_elems(n, n);
     Measure mo = measure([&] {
       vec<obl::Elem> v(data);
-      core::detail::osort(v.s(), 1, core::Variant::Practical);
+      core::detail::osort(v.s(), 1);
     });
     Measure mi = measure([&] {
       vec<obl::Elem> v(data);
@@ -106,7 +106,7 @@ int main() {
     // backend so the JSON trajectory tracks it per PR.
     Measure mt = measure([&] {
       vec<obl::Elem> v(data);
-      core::detail::osort(v.s(), 1, core::Variant::Theoretical);
+      core::detail::osort(v.s(), 1, core::kSpmsTheoretical);
     });
     record("sort", "oblivious_theoretical", n, "spms", mt);
     std::printf(

@@ -144,10 +144,8 @@ int main() {
       "Send-receive: every registered sorter backend",
       "rows per backend; Q naive_bitonic/bitonic_ca should grow ~log n "
       "(M = 16 KiB so the working set exceeds the cache); the full-sort "
-      "backends run their Practical configuration — ORP + REC-SORT for "
-      "osort, ORP + SPMS for spms — as a default-built Runtime would "
-      "(under Variant::Theoretical the two coincide by construction: "
-      "osort's theoretical comparison phase IS SPMS)");
+      "backends run ORP + REC-SORT (osort) and ORP + SPMS under its "
+      "practical tuning (spms)");
   for (size_t n : {1u << 11, 1u << 12}) {
     util::Rng rng(n);
     std::vector<obl::Elem> sources(n), dests(n);
@@ -160,17 +158,16 @@ int main() {
     Measure ca{};  // the cache-agnostic baseline of this n, for ratios
     Measure naive{};
     for (const std::string& name : backend_names()) {
-      auto sorter = make_backend(
-          name, BackendConfig{.seed = 7 * n,
-                              .variant = core::Variant::Practical,
-                              .params = {}});
+      auto sorter =
+          make_backend(name, BackendConfig{.seed = 7 * n, .params = {}});
       Measure m = measure(
           [&] {
             vec<obl::Elem> s(sources), d(dests), r(dests.size());
             obl::detail::send_receive(s.s(), d.s(), r.s(), *sorter);
           },
           true, kSmallM, bench::kB);
-      // config records the benched variant: snapshot rows must stay
+      // config "practical" names the full-sort backends' configuration
+      // (REC-SORT, SPMS's practical tuning): snapshot rows must stay
       // self-describing, or a cross-PR diff would compare measurements
       // of different configurations under the same key.
       record("send_receive", "practical", n, name, m);

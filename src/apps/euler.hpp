@@ -56,8 +56,7 @@ inline std::vector<uint64_t> euler_tour(
     rec.payload = e;  // directed edge id
     de[e] = rec;
   });
-  core::detail::osort(de, util::hash_rand(seed, 1), core::Variant::Practical,
-                      {}, sorter);
+  core::detail::osort(de, util::hash_rand(seed, 1), std::nullopt, {}, sorter);
 
   // Adjsucc: next edge in the (circular) adjacency list of the tail.
   // Propagate each group's first edge id to the whole group (for the

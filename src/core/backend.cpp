@@ -8,6 +8,7 @@
 #include <atomic>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <utility>
 
 #include "core/osort.hpp"
@@ -33,30 +34,21 @@ core::SortParams fit_params(core::SortParams p, size_t padded) {
   return p;
 }
 
-/// A full-oblivious-sort pipeline: ORP + a comparison phase, taking the
-/// backend itself as the scratch sorter for its internal bin placements.
-using FullSortEngine = void (*)(const slice<obl::Elem>&, uint64_t,
-                                core::Variant, core::SortParams,
-                                const SorterBackend&);
-
 /// Full-oblivious-sort backend (Theorem 3.2), shared by "osort" (ORP +
-/// the configured variant's comparison phase) and "spms" (ORP + the
-/// genuine Sample-Partition-Merge Sort): canonical Elem-by-key sorts run
-/// the complete pipeline, realizing the Table 2 sorting-bound rows inside
-/// the composite primitives. Non-canonical scratch orders fall back to
-/// the cache-agnostic network (the paper's "O(1) AKS sorts"). A per-call
+/// REC-SORT) and "spms" (ORP + SPMS under kSpmsPractical): canonical
+/// Elem-by-key sorts run the complete core::detail::osort pipeline, with
+/// the backend itself as the sorter of its internal bin placements,
+/// realizing the Table 2 sorting-bound rows inside the composite
+/// primitives. Non-canonical scratch orders fall back to the
+/// cache-agnostic network (the paper's "O(1) AKS sorts"). A per-call
 /// atomic counter freshens the seed so concurrent sorts never reuse
 /// randomness while identical construction replays identical randomness
-/// call-for-call (the engines draw no randomness beyond that seed).
+/// call-for-call (the pipeline draws no randomness beyond that seed).
 class FullSortBackend final : public SorterBackend {
  public:
-  FullSortBackend(const char* name, FullSortEngine engine,
+  FullSortBackend(const char* name, std::optional<core::SpmsTuning> spms,
                   const BackendConfig& cfg)
-      : name_(name),
-        engine_(engine),
-        seed_(cfg.seed),
-        variant_(cfg.variant),
-        params_(cfg.params) {}
+      : name_(name), spms_(spms), seed_(cfg.seed), params_(cfg.params) {}
 
   std::string_view name() const override { return name_; }
 
@@ -64,7 +56,7 @@ class FullSortBackend final : public SorterBackend {
     const uint64_t call = calls_.fetch_add(1, std::memory_order_relaxed) + 1;
     const core::SortParams p =
         fit_params(params_, util::pow2_ceil(a.size() < 2 ? 2 : a.size()));
-    engine_(a, util::hash_rand(seed_, call), variant_, p, *this);
+    core::detail::osort(a, util::hash_rand(seed_, call), spms_, p, *this);
   }
   void sort(const slice<obl::Elem>& a,
             LessFn<obl::Elem> less) const override {
@@ -81,9 +73,8 @@ class FullSortBackend final : public SorterBackend {
 
  private:
   const char* name_;
-  FullSortEngine engine_;
+  std::optional<core::SpmsTuning> spms_;
   uint64_t seed_;
-  core::Variant variant_;
   core::SortParams params_;
   mutable std::atomic<uint64_t> calls_{0};
 };
@@ -114,12 +105,12 @@ Registry& registry() {
     reg->factories.emplace(
         "odd_even", network_factory<obl::OddEvenSorter>("odd_even"));
     reg->factories.emplace("osort", [](const BackendConfig& cfg) {
-      return std::make_shared<const FullSortBackend>(
-          "osort", &core::detail::osort, cfg);
+      return std::make_shared<const FullSortBackend>("osort", std::nullopt,
+                                                     cfg);
     });
     reg->factories.emplace("spms", [](const BackendConfig& cfg) {
       return std::make_shared<const FullSortBackend>(
-          "spms", &core::detail::spms_osort, cfg);
+          "spms", core::kSpmsPractical, cfg);
     });
     return reg;
   }();

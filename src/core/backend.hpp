@@ -8,18 +8,20 @@
 // Table 2 configuration is a *name*:
 //
 //   auto rt = dopar::Runtime::builder().backend("odd_even").build();
-//   rt.sort(a, dopar::SortOptions{.backend = "osort"});   // per-call
+//   rt.backend_sort(a, dopar::SortOptions{.backend = "spms"});  // per-call
 //
 // Built-in names: "bitonic_ca" (default; cache-agnostic bitonic, Theorem
 // E.1), "bitonic" (depth-first recursive bitonic), "naive_bitonic"
 // (layer-by-layer PRAM schedule — the "prior best" columns), "odd_even"
-// (Batcher network, AKS stand-in), "osort" (the full oblivious sort of
-// Theorem 3.2 — the Table 2 sorting-bound rows), "spms" (the full sort
-// with the genuine Sample-Partition-Merge comparison phase, core/spms.hpp
-// — the paper's optimal configuration). The three bitonic backends
-// realize one network and share one native path; they differ only in
-// their instrumented schedules. The registry stays open:
-// register_backend() adds or replaces a named backend in one call.
+// (Batcher network, AKS stand-in), and the two full oblivious sorts of
+// Theorem 3.2 (core::detail::osort), which realize the Table 2
+// sorting-bound rows: "osort" (ORP + REC-SORT) and "spms" (ORP + the
+// genuine Sample-Partition-Merge Sort, core/spms.hpp, under
+// kSpmsPractical — the paper's optimal configuration). The name alone
+// picks the comparison phase. The three bitonic backends realize one
+// network and share one native path; they differ only in their
+// instrumented schedules. The registry stays open: register_backend()
+// adds or replaces a named backend in one call.
 //
 // Interface shape: the primitives express every order either as the
 // canonical "Elem ascending by key" (which a full oblivious *sort* such as
@@ -130,11 +132,10 @@ const SorterBackend& default_backend();
 /// Configuration a factory receives when the registry instantiates a
 /// backend: the seed feeding any internal randomness (Runtime derives it
 /// from its master seed, keeping seed-determinism), and the pipeline
-/// parameters/variant for backends that run the full oblivious sort.
-/// Network backends ignore all of it.
+/// parameters for backends that run the full oblivious sort. Network
+/// backends ignore all of it.
 struct BackendConfig {
   uint64_t seed = 0x05027;
-  core::Variant variant = core::Variant::Theoretical;
   core::SortParams params{};
 };
 
@@ -167,17 +168,15 @@ std::vector<std::string> backend_names();
 /// Per-call override for the sorter-parametric Runtime methods. Empty
 /// fields inherit the Runtime's configuration.
 ///
-///   rt.sort(a, SortOptions{.backend = "osort"});
+///   rt.backend_sort(a, SortOptions{.backend = "spms"});
 ///
-/// `variant` applies to sort()/sort_records() (which comparison phase the
-/// full sort runs); `params` to the ORBA/ORP pipeline parameters of
-/// sort/permute/bin_assign and of an "osort" backend's internal sorts.
+/// `params` applies to the ORBA/ORP pipeline parameters of
+/// sort/permute/bin_assign and of a full-sort backend's internal sorts.
 /// `backend` is owning (std::string): options objects outlive the
 /// expressions that build them, so a dynamically composed name must not
 /// dangle.
 struct SortOptions {
   std::string backend{};
-  std::optional<core::Variant> variant{};
   std::optional<core::SortParams> params{};
 };
 

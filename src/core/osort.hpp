@@ -4,14 +4,16 @@
 // (Section 3.4 / E).
 //
 // Pipeline: oblivious random permutation (REC-ORBA + per-bin shuffle), then
-// any comparison-based sort of the permuted array:
-//   * Variant::Theoretical — SPMS (Sample-Partition-Merge Sort,
-//     core/spms.hpp; the genuine algorithm, replacing the former
-//     parallel-merge-sort stand-in). Work O(n log n), cache
-//     O((n/B) log_M n), span polylog.
-//   * Variant::Practical  — the paper's self-contained variant: pivot
+// any comparison-based sort of the permuted array. osort's `spms` argument
+// picks that comparison phase:
+//   * empty (the default) — the paper's self-contained variant: pivot
 //     selection + REC-SORT + per-bin bitonic. Work O(n log n loglog n),
 //     span O(log^2 n loglog n), optimal cache — with small constants.
+//     Runtime::sort, sort_records and the "osort" backend run this.
+//   * an SpmsTuning — SPMS (Sample-Partition-Merge Sort, core/spms.hpp).
+//     Work O(n log n), cache O((n/B) log_M n), span polylog. The "spms"
+//     backend runs it with kSpmsPractical; Table 1's theoretical rows
+//     with kSpmsTheoretical.
 //
 // Obliviousness: the permutation phase has input-independent access
 // patterns; the comparison phase's pattern depends only on the *random
@@ -28,20 +30,20 @@
 // re-keys absorbed records to the sentinel; scratch arrays carry filler
 // padding) rely on exactly this, so it is contract, not accident.
 //
-// The full sort is itself available as the "osort" entry of the sorter-
-// backend registry (core/backend.cpp), which is how the composite
-// primitives realize their Table 2 sorting-bound rows.
+// The full sort is itself available as the "osort" and "spms" entries of
+// the sorter-backend registry (core/backend.cpp), which is how the
+// composite primitives realize their Table 2 sorting-bound rows.
 
-#include <cassert>
 #include <cstdint>
+#include <optional>
 
 #include "core/backend.hpp"
 #include "core/orp.hpp"
 #include "core/params.hpp"
 #include "core/recsort.hpp"
 #include "core/spms.hpp"
-#include "forkjoin/api.hpp"
 #include "obl/elem.hpp"
+#include "obl/kernel/kernel.hpp"
 #include "sim/tracked.hpp"
 #include "util/bits.hpp"
 
@@ -49,14 +51,17 @@ namespace dopar::core {
 
 namespace detail {
 
-/// Engine behind Runtime::sort: obliviously sort `a` by key, ascending.
-/// See header comment for the contract. `seed` drives all internal
-/// randomness (the Runtime derives it from its master seed). `sorter`
-/// realizes the pipeline's internal bin-placement sorts.
+/// Engine behind Runtime::sort and the full-sort backends: obliviously
+/// sort `a` by key, ascending. See header comment for the contract.
+/// `seed` drives all internal randomness (the Runtime derives it from its
+/// master seed). `spms` picks the comparison phase: empty runs REC-SORT,
+/// a tuning runs SPMS. `sorter` realizes the pipeline's internal
+/// bin-placement sorts.
 inline void osort(const slice<obl::Elem>& a, uint64_t seed,
-                  Variant variant = Variant::Practical, SortParams params = {},
+                  std::optional<SpmsTuning> spms = {}, SortParams params = {},
                   const SorterBackend& sorter = default_backend()) {
   using obl::Elem;
+  using obl::kernel::Tick;
   const size_t n = a.size();
   if (n <= 1) return;
   const size_t padded = util::pow2_ceil(n);
@@ -65,27 +70,26 @@ inline void osort(const slice<obl::Elem>& a, uint64_t seed,
   for (int attempt = 0;; ++attempt) {
     vec<Elem> workv(padded, Elem::filler());
     const slice<Elem> work = workv.s();
-    fj::for_range(0, n, fj::kDefaultGrain, [&](size_t i) {
-      sim::tick(1);
-      work[i] = a[i];
-    });
+    obl::kernel::copy_range(work, 0, a, 0, n, Tick::PerElem);
 
     vec<Elem> permv(padded);
     const slice<Elem> perm = permv.s();
     detail::orp(work, perm, util::hash_rand(seed, 31 + attempt), params,
                 sorter);
 
-    // Record the permuted position for tie-breaking duplicates.
-    fj::for_range(0, padded, fj::kDefaultGrain, [&](size_t i) {
-      sim::tick(1);
-      Elem e = perm[i];
-      e.extra = static_cast<uint32_t>(i);
-      perm[i] = e;
-    });
+    // Permuted position -> Elem::extra: the tie-break that makes
+    // (key, extra) a strict total order with uniform ranks for equal
+    // keys, which both comparison phases rely on.
+    obl::kernel::transform_range(
+        perm, 0, padded, Tick::PerElem,
+        [](Elem& e, size_t i) { e.extra = static_cast<uint32_t>(i); });
 
     try {
-      if (variant == Variant::Theoretical) {
-        spms_sort(perm.first(n), SpmsTuning::auto_for(Variant::Theoretical));
+      if (spms) {
+        // ORP emits real elements first, fillers trailing: the first n
+        // slots are exactly the input records. SPMS draws no randomness
+        // and cannot fail, so it never retries.
+        spms_sort(perm.first(n), *spms);
       } else {
         rec_sort(perm, util::hash_rand(seed, 77'000 + attempt), params);
       }
@@ -97,10 +101,7 @@ inline void osort(const slice<obl::Elem>& a, uint64_t seed,
       continue;
     }
 
-    fj::for_range(0, n, fj::kDefaultGrain, [&](size_t i) {
-      sim::tick(1);
-      a[i] = perm[i];
-    });
+    obl::kernel::copy_range(a, 0, perm, 0, n, Tick::PerElem);
     return;
   }
 }

@@ -7,19 +7,16 @@
 // problem sizes a unit test or laptop bench runs, the asymptotic formulas
 // are floored so that the concentration bounds (overflow probability
 // exp(-Omega(Z))) still have teeth.
+//
+// These are the permutation's parameters only. Which comparison sort runs
+// after it is not one of them: core::detail::osort takes the phase as its
+// own argument (core/osort.hpp), and the "osort"/"spms" backends fix it.
 
 #include <cstddef>
 
 #include "util/bits.hpp"
 
 namespace dopar::core {
-
-/// Which comparison phase the full oblivious sort runs after the random
-/// permutation (see core/osort.hpp for the pipeline).
-enum class Variant {
-  Theoretical,  ///< ORP + parallel merge sort (SPMS stand-in)
-  Practical,    ///< ORP + REC-SORT (self-contained, Section E)
-};
 
 struct SortParams {
   size_t Z = 0;        ///< ORBA bin capacity (power of two); 0 = auto

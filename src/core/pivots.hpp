@@ -59,16 +59,8 @@ inline vec<obl::Elem> select_pivots(const slice<obl::Elem>& data, size_t r,
     fl[i] = util::hash_rand(seed, i) < threshold ? 1u : 0u;
   });
   vec<uint64_t> pos(n);
-  struct Identity {
-    uint64_t operator()(const uint64_t& v) const { return v; }
-  };
-  uint64_t count = 0;
-  {
-    // prefix_sum_exclusive expects a record accessor; reuse flags directly.
-    const slice<uint64_t> fs = flags.s();
-    count = obl::prefix_sum_exclusive(fs, pos.s(),
-                                      [](const uint64_t& v) { return v; });
-  }
+  const uint64_t count = obl::prefix_sum_exclusive(
+      fl, pos.s(), [](const uint64_t& v) { return v; });
   if (count < 2 * r) throw PivotFailure{};
 
   const size_t padded = util::pow2_ceil(count);

@@ -123,11 +123,6 @@ class Runtime {
       params_ = p;
       return *this;
     }
-    /// Default sort variant for sort()/sort_records().
-    Builder& variant(core::Variant v) {
-      variant_ = v;
-      return *this;
-    }
     /// Named sorter backend every sorter-parametric primitive routes
     /// through (see core/backend.hpp for the built-in names). build()
     /// throws UnknownBackend for a name the registry does not know.
@@ -194,7 +189,6 @@ class Runtime {
     unsigned threads_ = 1;
     uint64_t seed_ = 0xd0'9a12'5eedULL;
     core::SortParams params_{};
-    core::Variant variant_ = core::Variant::Practical;
     std::string backend_name_ = "bitonic_ca";
     size_t job_workers_ = sched::Scheduler::kMaxJobWorkers;
     bool analytic_ = false;
@@ -215,18 +209,19 @@ class Runtime {
 
   // ---- oblivious primitives (paper Sections 3-4) ----------------------
 
-  /// Obliviously sort `a` by key, ascending (Theorem 3.2 pipeline).
+  /// Obliviously sort `a` by key, ascending (Theorem 3.2 pipeline: ORP +
+  /// REC-SORT). The sorter backend realizes only ORP's bin-placement
+  /// sorts, which a full-sort backend ("osort", "spms") hands to
+  /// "bitonic_ca"; to run a full-sort backend as the whole sort, call
+  /// backend_sort.
   void sort(const slice<obl::Elem>& a, const SortOptions& opts = {}) {
     const auto sorter = resolve(opts);
     const uint64_t s = fresh_seed();
     obs::Span span("rt.sort", "n", a.size());
     with_env([&] {
-      core::detail::osort(a, s, opts.variant.value_or(variant_),
-                          opts.params.value_or(params_), *sorter);
+      core::detail::osort(a, s, std::nullopt, opts.params.value_or(params_),
+                          *sorter);
     });
-  }
-  void sort(const slice<obl::Elem>& a, core::Variant v) {
-    sort(a, SortOptions{.backend = {}, .variant = v, .params = {}});
   }
 
   /// Sort `a` by key directly on the sorter backend — the same layer every
@@ -450,7 +445,7 @@ class Runtime {
         e.payload = i;
         keys[i] = e;
       });
-      core::detail::osort(keys, s, opts.variant.value_or(variant_),
+      core::detail::osort(keys, s, std::nullopt,
                           opts.params.value_or(params_), *sorter);
       fj::for_range(0, n, fj::kDefaultGrain,
                     [&](size_t i) { order[i] = keys[i].payload; });
@@ -801,7 +796,6 @@ class Runtime {
 
   uint64_t master_seed() const { return seed_; }
   core::SortParams params() const { return params_; }
-  core::Variant variant() const { return variant_; }
   /// The Runtime's configured sorter backend.
   const SorterBackend& backend() const { return *backend_; }
   /// Seeds drawn so far (one or more per randomized method call).
@@ -1111,7 +1105,7 @@ class Runtime {
   }
 
   explicit Runtime(const Builder& b)
-      : seed_(b.seed_), params_(b.params_), variant_(b.variant_),
+      : seed_(b.seed_), params_(b.params_),
         obs_enable_(b.obs_metrics_,
                     b.obs_tracing_ || obs::env_trace_requested()) {
     util::retain_freed_scratch();
@@ -1120,8 +1114,7 @@ class Runtime {
     // derived from the master seed, so seed-determinism covers it.
     backend_ = make_backend(
         b.backend_name_,
-        BackendConfig{util::hash_rand(b.seed_, 0xbac0'5eedULL), b.variant_,
-                      b.params_});
+        BackendConfig{util::hash_rand(b.seed_, 0xbac0'5eedULL), b.params_});
     if (b.analytic_) {
       // The &&-qualified Session builders mutate *this and return it by
       // rvalue reference, so the discarded results still configure `s`
@@ -1180,9 +1173,8 @@ class Runtime {
   std::shared_ptr<const SorterBackend> resolve(const SortOptions& opts) {
     if (opts.backend.empty()) return backend_;
     BackendFactory factory = find_backend_factory(opts.backend);
-    return factory(BackendConfig{fresh_seed(),
-                                 opts.variant.value_or(variant_),
-                                 opts.params.value_or(params_)});
+    return factory(
+        BackendConfig{fresh_seed(), opts.params.value_or(params_)});
   }
 
   /// Run `f` inside this Runtime's execution environment: measurement
@@ -1204,7 +1196,6 @@ class Runtime {
   std::atomic<uint64_t> seq_{0};
   std::atomic<uint64_t> jobs_submitted_{0};
   core::SortParams params_;
-  core::Variant variant_;
   /// Holds the obs gates (Builder::metrics()/tracing(), DOPAR_TRACE) open
   /// for this Runtime's lifetime.
   obs::ScopedEnable obs_enable_;

@@ -8,8 +8,6 @@
 
 #include <vector>
 
-#include "core/backend.hpp"
-#include "core/orp.hpp"
 #include "core/pivots.hpp"
 #include "forkjoin/api.hpp"
 // The generic binary-search and (parallel) two-way merge templates live
@@ -22,7 +20,6 @@
 #include "obl/scan.hpp"
 #include "sim/tracked.hpp"
 #include "util/bits.hpp"
-#include "util/rng.hpp"
 #include "util/transpose.hpp"
 
 namespace dopar::core {
@@ -189,18 +186,6 @@ void multiway_merge(const std::vector<slice<Elem>>& runs,
   });
 }
 
-/// Normalized tuning: zeros fall back to the practical auto-tuning, and
-/// the fields are clamped to sane floors — fanout 1 would make the
-/// "recursive" chunk the whole array (no progress, unbounded recursion).
-SpmsTuning normalize(SpmsTuning t) {
-  const SpmsTuning d = SpmsTuning::auto_for(Variant::Practical);
-  if (t.fanout == 0) t.fanout = d.fanout;
-  if (t.serial_cutoff == 0) t.serial_cutoff = d.serial_cutoff;
-  if (t.bucket_target == 0) t.bucket_target = d.bucket_target;
-  if (t.fanout < 2) t.fanout = 2;
-  return t;
-}
-
 void spms_sort_rec(const slice<Elem>& a, const SpmsTuning& tuning) {
   const size_t n = a.size();
   if (n <= tuning.serial_cutoff || n <= 1) {
@@ -229,42 +214,9 @@ void spms_sort_rec(const slice<Elem>& a, const SpmsTuning& tuning) {
 
 void spms_sort(const slice<obl::Elem>& a, const SpmsTuning& tuning) {
   if (a.size() <= 1) return;
-  spms_sort_rec(a, normalize(tuning));
-}
-
-void spms_osort(const slice<obl::Elem>& a, uint64_t seed, Variant variant,
-                SortParams params, const SorterBackend& scratch_sorter) {
-  using obl::Elem;
-  const size_t n = a.size();
-  if (n <= 1) return;
-  const size_t padded = util::pow2_ceil(n);
-  if (params.Z == 0) params = SortParams::auto_for(padded);
-
-  vec<Elem> workv(padded, Elem::filler());
-  const slice<Elem> work = workv.s();
-  obl::kernel::copy_range(work, 0, a, 0, n, obl::kernel::Tick::PerElem);
-
-  // ORP: the pipeline's only source of randomness (SPMS is deterministic,
-  // so the whole call's schedule is a function of `seed`). Overflow
-  // retries happen inside orp(); SPMS itself cannot fail.
-  vec<Elem> permv(padded);
-  const slice<Elem> perm = permv.s();
-  detail::orp(work, perm, util::hash_rand(seed, 31), params, scratch_sorter);
-
-  // Permuted position -> Elem::extra: the tie-break that makes
-  // (key, extra) a strict total order (uniform ranks for equal keys),
-  // which the bucket-balance bound of the partition step relies on.
-  obl::kernel::transform_range(
-      perm, 0, padded, obl::kernel::Tick::PerElem,
-      [](Elem& e, size_t i) { e.extra = static_cast<uint32_t>(i); });
-
-  // ORP emits real elements first, fillers trailing — the first n slots
-  // are exactly the input records (sentinel-keyed input fillers included,
-  // which LessKeyExtra orders after every smaller key, per the osort
-  // contract).
-  spms_sort(perm.first(n), SpmsTuning::auto_for(variant));
-
-  obl::kernel::copy_range(a, 0, perm, 0, n, obl::kernel::Tick::PerElem);
+  SpmsTuning t = tuning;
+  if (t.fanout < 2) t.fanout = 2;
+  spms_sort_rec(a, t);
 }
 
 }  // namespace detail

@@ -1,7 +1,8 @@
 #pragma once
 // SPMS — Sample-Partition-Merge Sort (Cole & Ramachandran), the genuine
-// comparison sort behind the paper's optimal sorting bounds, replacing the
-// parallel-merge-sort stand-in that previously backed Variant::Theoretical.
+// comparison sort behind the paper's optimal sorting bounds: the
+// comparison phase core::detail::osort runs after the random permutation
+// when it is given an SpmsTuning.
 //
 // Structure (all deterministic — SPMS itself draws NO randomness; the
 // oblivious pipeline's randomness lives entirely in the ORP that precedes
@@ -42,51 +43,35 @@
 // one streaming sweep + a cache-agnostic transpose, and bucket merges are
 // sequential scans over segments that fit in cache.
 //
-// The full oblivious sort with an SPMS comparison phase is available as
-// the "spms" entry of the sorter-backend registry (core/backend.cpp) and
-// as Variant::Theoretical of core::detail::osort.
+// The full oblivious sort with an SPMS comparison phase is
+// core::detail::osort(a, seed, kSpmsPractical or kSpmsTheoretical), and
+// the "spms" entry of the sorter-backend registry (core/backend.cpp) runs
+// it with kSpmsPractical.
 
-#include <cstdint>
+#include <cstddef>
 
-#include "core/params.hpp"
 #include "obl/elem.hpp"
 #include "sim/tracked.hpp"
 
-namespace dopar {
-// Forward declaration: core/backend.hpp is kept out of this header to
-// avoid a cycle — backend.cpp's SpmsBackend calls spms_osort, which
-// consumes a SorterBackend for its ORP bin placements.
-class SorterBackend;
-}  // namespace dopar
-
 namespace dopar::core {
 
-/// Tuning knobs of the SPMS recursion. Zeros auto-tune from the variant:
-///   * Theoretical — wide fanout (the paper's sqrt-flavoured two-level
-///     recursion, clamped), small serial cutoff: the recursion structure
-///     dominates, which is what analytic span/work measurements model.
-///   * Practical   — fanout 16, larger serial cutoff (big enough that
-///     native runs are not fork-bound, small enough that buckets stay in
-///     cache).
+/// Tuning knobs of the SPMS recursion. A fanout below 2 is raised to 2
+/// (fanout 1 would make the "recursive" chunk the whole array).
 struct SpmsTuning {
-  size_t fanout = 0;         ///< max runs merged at once (power of two)
-  size_t serial_cutoff = 0;  ///< at or below: serial insertion sort
-  size_t bucket_target = 0;  ///< partition aims for buckets <= this
-
-  static SpmsTuning auto_for(Variant v) {
-    SpmsTuning t;
-    if (v == Variant::Theoretical) {
-      t.fanout = 32;
-      t.serial_cutoff = 32;
-      t.bucket_target = 256;
-    } else {
-      t.fanout = 16;
-      t.serial_cutoff = 128;
-      t.bucket_target = 512;
-    }
-    return t;
-  }
+  size_t fanout;         ///< max runs merged at once (power of two)
+  size_t serial_cutoff;  ///< at or below: serial insertion sort
+  size_t bucket_target;  ///< partition aims for buckets <= this
 };
+
+/// Fanout 16 and a serial cutoff big enough that native runs are not
+/// fork-bound, small enough that buckets stay in cache: the "spms"
+/// backend's tuning.
+inline constexpr SpmsTuning kSpmsPractical{16, 128, 512};
+
+/// Wide fanout (the paper's sqrt-flavoured two-level recursion, clamped)
+/// and a small serial cutoff: the recursion structure dominates, which is
+/// what the analytic span/work rows of Table 1 model.
+inline constexpr SpmsTuning kSpmsTheoretical{32, 32, 256};
 
 namespace detail {
 
@@ -97,15 +82,6 @@ namespace detail {
 /// strict total order the bucket-balance bound needs. Deterministic: no
 /// internal randomness, any input length, sorts in place.
 void spms_sort(const slice<obl::Elem>& a, const SpmsTuning& tuning);
-
-/// Engine behind the "spms" backend: the full Theorem 3.2 pipeline with
-/// the genuine SPMS comparison phase — ORP (all randomness from `seed`),
-/// permuted-position tie-break stamping, then SPMS. `params` sizes the
-/// ORP (Z, gamma, retry budget); `variant` picks the SPMS tuning.
-/// `scratch_sorter` realizes the ORP's internal bin-placement sorts
-/// (the backend passes itself, falling back to its comparator network).
-void spms_osort(const slice<obl::Elem>& a, uint64_t seed, Variant variant,
-                SortParams params, const SorterBackend& scratch_sorter);
 
 }  // namespace detail
 

@@ -1,9 +1,11 @@
-// Unit tests: the full oblivious sort (both variants), REC-SORT, pivot
-// selection and the insecure merge-sort baseline.
+// Unit tests: the full oblivious sort (REC-SORT and both SPMS tunings as
+// its comparison phase), pivot selection and the insecure merge-sort
+// baseline.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "core/osort.hpp"
@@ -14,64 +16,63 @@
 namespace dopar {
 namespace {
 
-using core::Variant;
 using obl::Elem;
+using Phase = std::optional<core::SpmsTuning>;
 
 class OsortTest
-    : public ::testing::TestWithParam<std::tuple<Variant, size_t>> {};
+    : public ::testing::TestWithParam<std::tuple<Phase, size_t>> {};
 
 TEST_P(OsortTest, SortsRandomInput) {
-  const auto [variant, n] = GetParam();
+  const auto [phase, n] = GetParam();
   auto in = test::random_elems(n, 17 * n + 1);
   vec<Elem> v(in);
-  core::detail::osort(v.s(), /*seed=*/n, variant);
+  core::detail::osort(v.s(), /*seed=*/n, phase);
   EXPECT_TRUE(test::sorted_by_key(v.underlying()));
   EXPECT_TRUE(test::same_keys(v.underlying(), in));
 }
 
 TEST_P(OsortTest, SortsDuplicateHeavyInput) {
-  const auto [variant, n] = GetParam();
+  const auto [phase, n] = GetParam();
   std::vector<Elem> in(n);
   for (size_t i = 0; i < n; ++i) {
     in[i].key = i % 3;  // three distinct keys
     in[i].payload = i;
   }
   vec<Elem> v(in);
-  core::detail::osort(v.s(), 11, variant);
+  core::detail::osort(v.s(), 11, phase);
   EXPECT_TRUE(test::sorted_by_key(v.underlying()));
   EXPECT_TRUE(test::same_keys(v.underlying(), in));
 }
 
 TEST_P(OsortTest, SortsConstantInput) {
-  const auto [variant, n] = GetParam();
+  const auto [phase, n] = GetParam();
   std::vector<Elem> in(n);
   for (size_t i = 0; i < n; ++i) {
     in[i].key = 5;
     in[i].payload = i;
   }
   vec<Elem> v(in);
-  core::detail::osort(v.s(), 13, variant);
+  core::detail::osort(v.s(), 13, phase);
   for (const Elem& e : v.underlying()) EXPECT_EQ(e.key, 5u);
 }
 
 TEST_P(OsortTest, SortsSortedAndReversedInput) {
-  const auto [variant, n] = GetParam();
+  const auto [phase, n] = GetParam();
   std::vector<Elem> asc(n), desc(n);
   for (size_t i = 0; i < n; ++i) {
     asc[i].key = i;
     desc[i].key = n - i;
   }
   vec<Elem> a(asc), d(desc);
-  core::detail::osort(a.s(), 3, variant);
-  core::detail::osort(d.s(), 4, variant);
+  core::detail::osort(a.s(), 3, phase);
+  core::detail::osort(d.s(), 4, phase);
   EXPECT_TRUE(test::sorted_by_key(a.underlying()));
   EXPECT_TRUE(test::sorted_by_key(d.underlying()));
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    VariantsAndSizes, OsortTest,
-    ::testing::Combine(::testing::Values(Variant::Theoretical,
-                                         Variant::Practical),
+    PhasesAndSizes, OsortTest,
+    ::testing::Combine(::testing::ValuesIn(test::sort_phases()),
                        ::testing::Values(size_t{1}, size_t{2}, size_t{100},
                                          size_t{1024}, size_t{5000},
                                          size_t{8192})));
@@ -85,7 +86,7 @@ TEST(Osort, PayloadsTravelWithKeys) {
     in[i].aux = in[i].key * 13 + 2;
   }
   vec<Elem> v(in);
-  core::detail::osort(v.s(), 6, Variant::Practical);
+  core::detail::osort(v.s(), 6);
   for (const Elem& e : v.underlying()) {
     EXPECT_EQ(e.payload, e.key * 7 + 1);
     EXPECT_EQ(e.aux, e.key * 13 + 2);
@@ -98,7 +99,7 @@ TEST(Osort, ManySeedsAllSucceed) {
   for (uint64_t seed = 0; seed < 20; ++seed) {
     auto in = test::random_elems(n, seed + 1000);
     vec<Elem> v(in);
-    core::detail::osort(v.s(), seed, Variant::Practical);
+    core::detail::osort(v.s(), seed);
     ASSERT_TRUE(test::sorted_by_key(v.underlying())) << seed;
   }
 }
@@ -109,7 +110,7 @@ TEST(Osort, WorkIsNLogNShapedTheoretical) {
     sim::ScopedSession guard(s);
     auto in = test::random_elems(n, 5);
     vec<Elem> v(in);
-    core::detail::osort(v.s(), 3, Variant::Theoretical);
+    core::detail::osort(v.s(), 3, core::kSpmsTheoretical);
     return double(s.cost().work);
   };
   const double r = work_of(1 << 14) / work_of(1 << 12);
@@ -123,7 +124,7 @@ TEST(Osort, SpanIsPolylog) {
     sim::ScopedSession guard(s);
     auto in = test::random_elems(n, 5);
     vec<Elem> v(in);
-    core::detail::osort(v.s(), 3, Variant::Practical);
+    core::detail::osort(v.s(), 3);
     return double(s.cost().span);
   };
   // Quadrupling n must grow span far less than 4x.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -25,14 +26,14 @@ namespace {
 
 using obl::Elem;
 
-// ---------- osort invariants across variants x sizes x seeds -------------
+// ---------- osort invariants across phases x sizes x seeds ---------------
 
 class OsortPropertyTest
-    : public ::testing::TestWithParam<std::tuple<core::Variant, size_t,
-                                                 uint64_t>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<std::optional<core::SpmsTuning>, size_t, uint64_t>> {};
 
 TEST_P(OsortPropertyTest, SortedPermutationWithPayloadIntegrity) {
-  const auto [variant, n, seed] = GetParam();
+  const auto [phase, n, seed] = GetParam();
   util::Rng rng(seed * 1000 + n);
   std::vector<Elem> in(n);
   for (size_t i = 0; i < n; ++i) {
@@ -41,7 +42,7 @@ TEST_P(OsortPropertyTest, SortedPermutationWithPayloadIntegrity) {
     in[i].aux = i;
   }
   vec<Elem> v(in);
-  core::detail::osort(v.s(), seed, variant);
+  core::detail::osort(v.s(), seed, phase);
   ASSERT_TRUE(test::sorted_by_key(v.underlying()));
   ASSERT_TRUE(test::same_keys(v.underlying(), in));
   // Payload must stay glued to its key.
@@ -56,8 +57,7 @@ TEST_P(OsortPropertyTest, SortedPermutationWithPayloadIntegrity) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, OsortPropertyTest,
-    ::testing::Combine(::testing::Values(core::Variant::Theoretical,
-                                         core::Variant::Practical),
+    ::testing::Combine(::testing::ValuesIn(test::sort_phases()),
                        ::testing::Values(size_t{3}, size_t{257}, size_t{1024},
                                          size_t{3333}),
                        ::testing::Values(uint64_t{1}, uint64_t{2},
@@ -130,7 +130,7 @@ TEST(FailureInjection, OsortRecoversFromRecsortOverflow) {
   p.rec_bin = 256;
   p.max_retries = 32;
   vec<Elem> v(in);
-  core::detail::osort(v.s(), 5, core::Variant::Practical, p);
+  core::detail::osort(v.s(), 5, std::nullopt, p);
   EXPECT_TRUE(test::sorted_by_key(v.underlying()));
   EXPECT_TRUE(test::same_keys(v.underlying(), in));
 }

@@ -158,26 +158,6 @@ TEST(RelJoin, AllBackendsMatchOracle) {
   }
 }
 
-TEST(RelJoin, BothVariantsMatchOracle) {
-  // Variant selects the full sort's comparison phase — only the full-sort
-  // backends ("osort", "spms") run it; exercise both under each.
-  for (const std::string& name : {std::string("osort"), std::string("spms")}) {
-    for (core::Variant v :
-         {core::Variant::Practical, core::Variant::Theoretical}) {
-      SCOPED_TRACE("backend=" + name);
-      auto rt = Runtime::builder().seed(14).backend(name).variant(v).build();
-      const auto L = make_left(64, 64, 801);
-      const auto R = make_right(64, 64, 802);
-      const Pairs want = oracle_join(L, R, false, 0);
-      const auto res = run_equi(rt, L, R, want.size() + 1);
-      EXPECT_EQ(ids_of(res), want);
-      const Pairs want_bd = oracle_join(L, R, true, 1);
-      const auto bd = run_band(rt, L, R, 1, want_bd.size() + 1);
-      EXPECT_EQ(ids_of(bd), want_bd);
-    }
-  }
-}
-
 // ---- adversarial key distributions -------------------------------------
 
 TEST(RelJoin, AdversarialDistributions) {

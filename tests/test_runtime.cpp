@@ -84,15 +84,24 @@ TEST(RuntimeSortRecords, HandlesTinyAndDuplicateInputs) {
   }
 }
 
-TEST(RuntimeSort, SortsElemSlicesWithPerCallVariant) {
+TEST(RuntimeSort, SortsElemSlicesOnEveryComparisonPhase) {
+  // sort() runs ORP + REC-SORT; backend_sort() on "osort" and "spms" runs
+  // the full pipeline with REC-SORT and with SPMS (practical tuning).
   constexpr size_t n = 2048;
   auto rt = Runtime::builder().seed(7).threads(3).build();
-  for (auto variant : {Variant::Practical, Variant::Theoretical}) {
-    auto in = test::random_elems(n, 23);
-    vec<Elem> v(in);
-    rt.sort(v.s(), variant);
+  const auto in = test::random_elems(n, 23);
+  auto check = [&](const vec<Elem>& v, const char* what) {
+    SCOPED_TRACE(what);
     EXPECT_TRUE(test::sorted_by_key(v.underlying()));
     EXPECT_TRUE(test::same_keys(v.underlying(), in));
+  };
+  vec<Elem> v(in);
+  rt.sort(v.s());
+  check(v, "sort");
+  for (const char* backend : {"osort", "spms"}) {
+    vec<Elem> w(in);
+    rt.backend_sort(w.s(), SortOptions{.backend = backend});
+    check(w, backend);
   }
 }
 
@@ -184,7 +193,7 @@ TEST(RuntimeContract, SortRecordsRejectsFillerSentinelKey) {
 TEST(RuntimeContract, BackendSortRejectsReservedKey) {
   auto rt = Runtime::builder().seed(2).build();
   for (const char* backend : {"bitonic_ca", "bitonic", "naive_bitonic"}) {
-    const SortOptions opts{.backend = backend, .variant = {}, .params = {}};
+    const SortOptions opts{.backend = backend, .params = {}};
     for (const size_t n : {size_t{6}, size_t{7}, size_t{64}, size_t{100}}) {
       std::vector<obl::Elem> in(n);
       for (size_t i = 0; i < n; ++i) {

@@ -1,6 +1,6 @@
 // Registry-driven sort conformance suite: differential fuzz of
-// Runtime::sort / Runtime::sort_records against a std::stable_sort
-// reference, swept over EVERY backend the registry knows
+// Runtime::sort / Runtime::backend_sort / Runtime::sort_records against a
+// std::stable_sort reference, swept over EVERY backend the registry knows
 // (dopar::backend_names()) x sizes {0, 1, 2, 7, non-power-of-two, 4096}
 // x adversarial inputs. A newly registered backend is covered here with
 // no test edits — this suite, not the backend author, owns the contract:
@@ -8,8 +8,9 @@
 //   * output keys exactly match the reference's key sequence;
 //   * the (key, payload) multiset is preserved bit-for-bit (nothing
 //     duplicated, lost, or detached from its key);
-//   * both pipeline variants (Practical = REC-SORT, Theoretical = SPMS)
-//     agree with the reference;
+//   * each backend's canonical sort (backend_sort: the network for the
+//     network backends, ORP + REC-SORT for "osort", ORP + SPMS for
+//     "spms") agrees with the reference;
 //   * "spms" replays its trace digest across fresh identically-built
 //     Runtimes, and its schedule differs from "osort"'s (the regression
 //     gate for SPMS replay determinism).
@@ -31,7 +32,6 @@
 namespace dopar {
 namespace {
 
-using core::Variant;
 using obl::Elem;
 
 const std::vector<size_t>& sweep_sizes() {
@@ -132,18 +132,19 @@ TEST(SortConformance, EveryBackendMatchesStableSortOnAdversarialInputs) {
   }
 }
 
-TEST(SortConformance, BothVariantsMatchStableSortOnEveryBackend) {
-  // The variant selects the comparison phase of the full sort (REC-SORT
-  // vs SPMS); both must agree with the reference on every backend.
+TEST(SortConformance, BackendSortMatchesStableSortOnEveryBackend) {
+  // backend_sort runs the backend's canonical sort with no pipeline around
+  // it: every Service sort batch takes this path.
   for (const std::string& backend : backend_names()) {
     auto rt = Runtime::builder().seed(555).backend(backend).build();
-    for (size_t n : {size_t{7}, size_t{700}, size_t{4096}}) {
-      for (auto variant : {Variant::Practical, Variant::Theoretical}) {
-        const std::vector<Elem> in = adversarial_inputs()[0].make(n);
+    for (size_t n : sweep_sizes()) {
+      for (const AdversarialInput& adv : adversarial_inputs()) {
+        const std::vector<Elem> in = adv.make(n);
         vec<Elem> v(in);
-        rt.sort(v.s(), variant);
-        expect_matches_reference(v.underlying(), in,
-                                 backend + "/variant/n=" + std::to_string(n));
+        rt.backend_sort(v.s());
+        expect_matches_reference(
+            v.underlying(), in,
+            backend + "/backend_sort/" + adv.name + "/n=" + std::to_string(n));
       }
     }
   }

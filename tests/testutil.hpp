@@ -5,9 +5,11 @@
 #include <cstdint>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <utility>
 #include <vector>
 
+#include "core/spms.hpp"
 #include "obl/elem.hpp"
 #include "rel/rel.hpp"
 #include "sim/tracked.hpp"
@@ -26,6 +28,12 @@ inline std::vector<obl::Elem> random_elems(size_t n, uint64_t seed,
     v[i].aux = i;
   }
   return v;
+}
+
+/// The comparison phases core::detail::osort can run after the random
+/// permutation: REC-SORT (empty) and SPMS under each of its two tunings.
+inline std::vector<std::optional<core::SpmsTuning>> sort_phases() {
+  return {std::nullopt, core::kSpmsPractical, core::kSpmsTheoretical};
 }
 
 inline bool sorted_by_key(const std::vector<obl::Elem>& v) {
