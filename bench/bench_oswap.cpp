@@ -4,6 +4,13 @@
 // engines actually move: 8 B (packed keys), 16 B (the inline cutoff), 32 B
 // (obl::Elem), and 64 B (two Elems / a cache line).
 //
+// It also times the bitonic round runner natively (serial, dispatched
+// ISA): bitonic_sort of 16-byte apps::KeyVal records, which the runner
+// compares and swaps in one inline pass, and of 32-byte obl::Elem records,
+// which take the staged masks and the batched oswap (the control), at
+// n = 1024 and 4096; and one recorded bitonic merge plus its unreplay of
+// 4096 KeyVal records, the shape of apps::gather and apps::scatter_min.
+//
 // Rows go to BENCH_oswap.json via the shared bench schema with the
 // microseconds in the `work` column (bench::record_wall). The section
 // "oswap" is listed in WALL_CLOCK_SECTIONS of
@@ -11,16 +18,22 @@
 // on it — these numbers are machine-dependent by design. The committed
 // snapshot documents the scalar-vs-vector gap on the reference machine.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
+#include "apps/common.hpp"
 #include "bench_util.hpp"
+#include "obl/bitonic.hpp"
+#include "obl/elem.hpp"
 #include "obl/kernel/dispatch.hpp"
 #include "obl/kernel/kernel.hpp"
 #include "obl/oswap.hpp"
+#include "obl/route.hpp"
 #include "util/rng.hpp"
 
 namespace dopar {
@@ -94,6 +107,73 @@ double run_batch(size_t rec) {
   return std::chrono::duration<double, std::micro>(t1 - t0).count();
 }
 
+constexpr int kNetReps = 50;  // best-of for the round-runner rows
+
+/// Best-of-kNetReps microseconds of body(a) over a fresh copy of `in`.
+template <class T, class F>
+double best_net(const std::vector<T>& in, const F& body) {
+  vec<T> v(in);
+  double best = -1;
+  for (int r = 0; r < kNetReps; ++r) {
+    std::copy(in.begin(), in.end(), v.underlying().begin());
+    const auto t0 = std::chrono::steady_clock::now();
+    body(v.s());
+    const auto t1 = std::chrono::steady_clock::now();
+    const double us = std::chrono::duration<double, std::micro>(t1 - t0).count();
+    if (best < 0 || us < best) best = us;
+  }
+  return best;
+}
+
+/// Duplicate-heavy keys (n / 4 distinct) with distinct payloads.
+template <class T>
+std::vector<T> net_input(size_t n) {
+  util::Rng rng(n);
+  std::vector<T> in(n);
+  for (size_t i = 0; i < n; ++i) {
+    in[i].key = rng.below(1 + n / 4);
+    if constexpr (std::is_same_v<T, apps::KeyVal>) {
+      in[i].val = i;
+    } else {
+      in[i].payload = i;
+    }
+  }
+  return in;
+}
+
+void bench_round_runner() {
+  const char* isa = obl::kernel::isa_name(obl::kernel::active_isa());
+  const auto row = [&](const char* config, size_t n, double us) {
+    bench::record_wall("oswap", config, n, isa, us);
+    std::printf("%-8s %-22s %-6zu %12.1f\n", isa, config, n, us);
+  };
+  for (const size_t n : {size_t{1024}, size_t{4096}}) {
+    row("bitonic_sort_rec16", n,
+        best_net(net_input<apps::KeyVal>(n), [](const slice<apps::KeyVal>& a) {
+          obl::bitonic_sort(a, true, apps::detail::ByKeyKV{});
+        }));
+    row("bitonic_sort_rec32", n,
+        best_net(net_input<obl::Elem>(n), [](const slice<obl::Elem>& a) {
+          obl::bitonic_sort(a, true, obl::ByKey{});
+        }));
+  }
+  // A bitonic merge input: ascending half, then descending half.
+  const size_t n = 4096;
+  std::vector<apps::KeyVal> in = net_input<apps::KeyVal>(n);
+  const apps::detail::ByKeyKV less;
+  std::sort(in.begin(), in.begin() + n / 2, less);
+  std::sort(in.begin() + n / 2, in.end(),
+            [&](const apps::KeyVal& a, const apps::KeyVal& b) {
+              return less(b, a);
+            });
+  std::vector<uint8_t> tape;
+  row("merge_unreplay_rec16", n,
+      best_net(in, [&](const slice<apps::KeyVal>& a) {
+        obl::bitonic_merge_record(a, tape, less);
+        obl::bitonic_merge_unreplay(a, tape);
+      }));
+}
+
 }  // namespace
 }  // namespace dopar
 
@@ -127,6 +207,10 @@ int main() {
     }
   }
   obl::kernel::select_isa(startup);
+
+  std::printf("\nbitonic round runner, serial, best of %d (micros)\n",
+              kNetReps);
+  bench_round_runner();
 
   bench::write_json("BENCH_oswap.json");
   std::printf("\nWrote BENCH_oswap.json\n");

@@ -44,10 +44,13 @@
 
 #include "core/params.hpp"
 #include "core/routed.hpp"
+#include "forkjoin/api.hpp"
 #include "obl/binitem.hpp"
 #include "obl/elem.hpp"
 #include "obl/sorter.hpp"
+#include "sim/session.hpp"
 #include "sim/tracked.hpp"
+#include "util/bits.hpp"
 
 namespace dopar {
 
@@ -79,7 +82,7 @@ class SorterBackend {
   /// Canonical order: Elem ascending by key — the order every composite
   /// primitive packs its scratch phases into. Sort-algorithm backends
   /// ("osort", "spms") realize it with the full oblivious sort; network
-  /// backends run their comparator network.
+  /// backends run their comparator network. Any n is accepted.
   virtual void sort(const slice<obl::Elem>& a) const = 0;
 
   /// Comparison sorts over the closed set of fixed-size records the
@@ -102,8 +105,31 @@ class NetworkBackend final : public SorterBackend {
 
   std::string_view name() const override { return name_; }
 
+  /// Any n: the network needs a power-of-two array, so a non-power-of-two
+  /// input is sorted through a filler-padded scratch buffer (fillers carry
+  /// the maximal key and land in the dropped tail).
   void sort(const slice<obl::Elem>& a) const override {
-    Net{}(a, obl::ByKey{});
+    const size_t n = a.size();
+    if (n <= 1 || util::is_pow2(n)) {
+      Net{}(a, obl::ByKey{});
+      return;
+    }
+    const size_t padded = util::pow2_ceil(n);
+    vec<obl::Elem> tmp(padded);
+    const slice<obl::Elem> t = tmp.s();
+    fj::for_range(0, n, fj::kDefaultGrain, [&](size_t i) {
+      sim::tick(1);
+      t[i] = a[i];
+    });
+    fj::for_range(n, padded, fj::kDefaultGrain, [&](size_t i) {
+      sim::tick(1);
+      t[i] = obl::Elem::filler();
+    });
+    Net{}(t, obl::ByKey{});
+    fj::for_range(0, n, fj::kDefaultGrain, [&](size_t i) {
+      sim::tick(1);
+      a[i] = t[i];
+    });
   }
   void sort(const slice<obl::Elem>& a,
             LessFn<obl::Elem> less) const override {

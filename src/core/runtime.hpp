@@ -232,11 +232,11 @@ class Runtime {
   /// is far cheaper than the full Theorem 3.2 pipeline (the sort-algorithm
   /// backends "osort"/"spms" still run their full sort). The serving
   /// layer's coalescer batches many small requests into one of these.
-  /// Any size is accepted: the networks need a power-of-two array, so a
-  /// non-power-of-two input is sorted through a filler-padded scratch
-  /// buffer (fillers carry the maximal key and land in the dropped tail).
-  /// Keys must therefore be < 2^64-1, as everywhere else in the library
-  /// (std::invalid_argument otherwise, in every build type).
+  /// Any size is accepted: a network backend pads a non-power-of-two
+  /// input with fillers (NetworkBackend::sort), and a full-sort backend
+  /// sorts the n records as they are. Fillers carry the maximal key, so
+  /// keys must be < 2^64-1 on every backend, as everywhere else in the
+  /// library (std::invalid_argument otherwise, in every build type).
   void backend_sort(const slice<obl::Elem>& a, const SortOptions& opts = {}) {
     const auto sorter = resolve(opts);
     // Untracked reads: validating the input adds nothing to a trace.
@@ -248,29 +248,7 @@ class Runtime {
       }
     }
     obs::Span span("rt.backend_sort", "n", a.size());
-    with_env([&] {
-      const size_t n = a.size();
-      if (n <= 1 || util::is_pow2(n)) {
-        sorter->sort(a);
-        return;
-      }
-      const size_t padded = util::pow2_ceil(n);
-      vec<obl::Elem> tmp(padded);
-      const slice<obl::Elem> t = tmp.s();
-      fj::for_range(0, n, fj::kDefaultGrain, [&](size_t i) {
-        sim::tick(1);
-        t[i] = a[i];
-      });
-      fj::for_range(n, padded, fj::kDefaultGrain, [&](size_t i) {
-        sim::tick(1);
-        t[i] = obl::Elem::filler();
-      });
-      sorter->sort(t);
-      fj::for_range(0, n, fj::kDefaultGrain, [&](size_t i) {
-        sim::tick(1);
-        a[i] = t[i];
-      });
-    });
+    with_env([&] { sorter->sort(a); });
   }
 
   /// Obliviously permute `in` into `out` uniformly at random (ORP).

@@ -51,7 +51,8 @@ bool isa_supported(Isa isa);
 bool select_isa(Isa isa);
 
 /// Records at or below this size keep the inline word-loop fast path in
-/// obl::oswap/oselect/oassign; larger records dispatch to the raw kernels.
+/// obl::oswap/oselect/oassign (and run_pairs swaps them pair by pair with
+/// it); larger records dispatch to the raw kernels.
 inline constexpr size_t kInlineBytes = 16;
 
 namespace detail {

@@ -9,10 +9,12 @@
 //     slice::operator[] touches, in the same order, under the same grain-1
 //     binary fork tree. Analytic work/span/cache numbers and ORP trace
 //     digests are therefore bit-for-bit unchanged by this layer.
-//   * native (no session): tight serial loops over raw pointers feeding the
-//     runtime-dispatched SIMD kernels of dispatch.hpp — whole comparator
-//     rounds per call (mask first, then one batched oswap) and memmove
-//     bulk copies.
+//   * native (no session): tight serial loops over raw pointers — whole
+//     comparator rounds per call and memmove bulk copies. A comparator
+//     round on records of at most kInlineBytes compares and swaps each
+//     pair in one inline pass (obl::oswap's word path); on larger records
+//     it stages the masks first and swaps them with one batched oswap, the
+//     runtime-dispatched SIMD kernels of dispatch.hpp.
 //
 // Bitonic networks have one native executor, the round runner below
 // (Network, for_rounds, run_pairs): the native sorts and merges of every
@@ -66,8 +68,9 @@ inline bool instrumented() { return sim::current_session() != nullptr; }
 enum class Tick { None, PerElem };
 
 /// Native-path staging chunk: masks for this many record pairs are computed
-/// per batched oswap call. Small enough to live on the stack, large enough
-/// to amortize the dispatch indirection.
+/// per batched oswap call (records above kInlineBytes; smaller ones swap
+/// each pair inline). Small enough to live on the stack, large enough to
+/// amortize the dispatch indirection.
 inline constexpr size_t kMaskChunk = 512;
 
 /// Native round tiling: consecutive bitonic rounds with comparator
@@ -230,32 +233,69 @@ void pair_masks(unsigned char* mask, const T* x, size_t step, size_t d,
   }
 }
 
+/// Order the cnt pairs (x[j * step], x[j * step + d]) as pair_masks
+/// describes, in one pass: each pair is loaded into values, its mask
+/// computed (or read from the tape), the values swapped with obl::oswap
+/// and stored back. For records of at most kInlineBytes, whose oswap is
+/// the inline word loop.
+template <Pairs Mode, class T, class Byte, class Less, class Up>
+void swap_pairs(T* x, size_t step, size_t d, size_t cnt, Byte* t,
+                size_t tstep, const Less& less, Up up) {
+  for (size_t j = 0; j < cnt; ++j) {
+    T lo = x[j * step];
+    T hi = x[j * step + d];
+    const bool wrong = [&] {
+      if constexpr (Mode == Pairs::Replay) {
+        return t[j * tstep] != 0;
+      } else {
+        return up(j) ? less(hi, lo) : less(lo, hi);
+      }
+    }();
+    if constexpr (Mode == Pairs::Record) {
+      t[j * tstep] = static_cast<unsigned char>(wrong);
+    }
+    oswap(lo, hi, wrong);
+    x[j * step] = lo;
+    x[j * step + d] = hi;
+  }
+}
+
 }  // namespace detail
 
 /// The round's pairs [w0, w1): pair w joins element (w / d) * 2d + w % d
 /// with the element d above it, in its run's direction (Round::ascends).
 /// Its tape byte, in the Record and Replay modes, is tape[r.pos + w];
-/// Compare mode writes no tape. The masks of up to kMaskChunk pairs are
-/// staged on the stack and swapped as one batch: a contiguous pair run,
-/// or — natively, when the runs are shorter than their count — one
-/// stride-2d batch per offset inside the run. When `instr` (a session is
-/// installed) every pair is ticked and its two records touched.
+/// Compare mode writes no tape. Pairs go in batches of up to kMaskChunk:
+/// a contiguous pair run, or — natively, when the runs are shorter than
+/// their count — one stride-2d batch per offset inside the run. When
+/// `instr` (a session is installed) every pair is ticked and its two
+/// records touched.
 template <Pairs Mode, class T, class Byte, class Less>
 void run_pairs(const slice<T>& a, const Round& r, size_t w0, size_t w1,
                Byte* tape, const Less& less, bool instr) {
   T* p = a.data();
   const size_t d = r.d;
   const unsigned lg = util::log2_exact(d);  // shifts, not divisions
+  // Natively, records of at most kInlineBytes take detail::swap_pairs' one
+  // pass. Larger records, whose oswap_batch_raw vector kernels beat the
+  // word loop, and every record under a session (the staged path is the
+  // reference the one pass is tested against) stage the masks on the
+  // stack and swap them as one batch.
+  const bool one_pass = sizeof(T) <= kInlineBytes && !instr;
   unsigned char mask[kMaskChunk];
-  // Masks of a batch of cnt pairs (x[j * step], x[j * step + d]): pair j's
-  // run starts at element s0 + j * step, and it is the round's pair
+  // A batch of cnt pairs (x[j * step], x[j * step + d]): pair j's run
+  // starts at element s0 + j * step, and it is the round's pair
   // tw + j * tstep. A batch inside one aligned k-block (every batch of a
   // merge) has one direction and gets it as a constant.
-  const auto masks = [&](const T* x, size_t step, size_t cnt, size_t s0,
+  const auto swaps = [&](T* x, size_t step, size_t cnt, size_t s0,
                          size_t tw, size_t tstep) {
     Byte* t = Mode == Pairs::Compare ? tape : tape + r.pos + tw;
     const auto run = [&](auto up) {
-      detail::pair_masks<Mode>(mask, x, step, d, cnt, t, tstep, less, up);
+      if (one_pass) {
+        detail::swap_pairs<Mode>(x, step, d, cnt, t, tstep, less, up);
+      } else {
+        detail::pair_masks<Mode>(mask, x, step, d, cnt, t, tstep, less, up);
+      }
     };
     if (((s0 ^ (s0 + (cnt - 1) * step)) & ~(r.k - 1)) != 0) {
       run([r, s0, step](size_t j) { return r.ascends(s0 + j * step); });
@@ -263,6 +303,11 @@ void run_pairs(const slice<T>& a, const Round& r, size_t w0, size_t w1,
       run([](size_t) { return true; });
     } else {
       run([](size_t) { return false; });
+    }
+    if (!one_pass) {
+      oswap_batch_raw(reinterpret_cast<unsigned char*>(x),
+                      reinterpret_cast<unsigned char*>(x + d), sizeof(T),
+                      step * sizeof(T), mask, cnt);
     }
   };
   if (instr || ((w1 - w0) >> lg) <= d) {
@@ -275,11 +320,7 @@ void run_pairs(const slice<T>& a, const Round& r, size_t w0, size_t w1,
         a.touch_range(s + o, cnt);
         a.touch_range(s + d + o, cnt);
       }
-      T* xa = p + s + o;
-      masks(xa, 1, cnt, s, w, 1);
-      oswap_batch_raw(reinterpret_cast<unsigned char*>(xa),
-                      reinterpret_cast<unsigned char*>(xa + d), sizeof(T),
-                      sizeof(T), mask, cnt);
+      swaps(p + s + o, 1, cnt, s, w, 1);
       w += cnt;
     }
     return;
@@ -289,11 +330,7 @@ void run_pairs(const slice<T>& a, const Round& r, size_t w0, size_t w1,
   for (size_t o = 0; o < d; ++o) {
     for (size_t k0 = w0 >> lg; k0 < w1 >> lg; k0 += kMaskChunk) {
       const size_t cnt = std::min(kMaskChunk, (w1 >> lg) - k0);
-      T* base = p + k0 * 2 * d + o;
-      masks(base, 2 * d, cnt, k0 * 2 * d, k0 * d + o, d);
-      oswap_batch_raw(reinterpret_cast<unsigned char*>(base),
-                      reinterpret_cast<unsigned char*>(base + d), sizeof(T),
-                      2 * d * sizeof(T), mask, cnt);
+      swaps(p + k0 * 2 * d + o, 2 * d, cnt, k0 * 2 * d, k0 * d + o, d);
     }
   }
 }

@@ -21,7 +21,11 @@ namespace dopar::obl {
 // of-8 sizes never read or blend stray tail bytes); larger records — Elem
 // and every bin/routing record built on it — dispatch to the runtime-
 // selected raw kernels (AVX2/SSE2/NEON/scalar; see kernel/dispatch.hpp),
-// which operate in place on exactly sizeof(T) bytes.
+// which operate in place on exactly sizeof(T) bytes. The same cutoff picks
+// the bitonic round runner's pair path (kernel::run_pairs): records at or
+// below it are compared and swapped here, one pair at a time in one pass;
+// larger ones stage their masks for kernel::oswap_batch_raw, whose vector
+// kernels beat this word loop at those sizes.
 
 /// Swap a and b iff do_swap, with a data-independent access pattern.
 template <class T>

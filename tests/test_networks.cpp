@@ -8,6 +8,7 @@
 #include <cstring>
 #include <vector>
 
+#include "apps/common.hpp"
 #include "core/routed.hpp"
 #include "forkjoin/pool.hpp"
 #include "obl/binitem.hpp"
@@ -221,6 +222,26 @@ obl::BinItem<core::Routed> dup_rec(obl::BinItem<core::Routed>, uint64_t key,
   return it;
 }
 
+apps::KeyVal dup_rec(apps::KeyVal, uint64_t key, uint64_t id) {
+  return apps::KeyVal{key, id};
+}
+
+/// An 8-byte record: like apps::KeyVal, at most obl::oswap's inline
+/// cutoff, so the round runner compares and swaps it in one pass.
+struct Rec8 {
+  uint32_t key = 0;
+  uint32_t id = 0;
+};
+static_assert(sizeof(Rec8) == 8);
+
+struct ByKey8 {
+  bool operator()(const Rec8& a, const Rec8& b) const { return a.key < b.key; }
+};
+
+Rec8 dup_rec(Rec8, uint64_t key, uint64_t id) {
+  return Rec8{static_cast<uint32_t>(key), static_cast<uint32_t>(id)};
+}
+
 enum class NativeNet { Bitonic, BitonicCa, Layerwise, OddEven };
 
 template <class T, class Less>
@@ -291,39 +312,51 @@ TEST(NativeNetwork, BinItemSortsMatchInstrumented) {
       obl::BinBySkey{});
 }
 
+// Records of at most 16 bytes take the runner's one-pass path. Up to
+// n = 2^15 the sweep crosses the 1024-record tile of apps::KeyVal.
+TEST(NativeNetwork, KeyValSortsMatchInstrumented) {
+  expect_native_matches_instrumented<apps::KeyVal>(apps::detail::ByKeyKV{});
+  expect_native_matches_instrumented<apps::KeyVal>(
+      apps::detail::ByKeyValDesc{});
+}
+
+TEST(NativeNetwork, EightByteSortsMatchInstrumented) {
+  expect_native_matches_instrumented<Rec8>(ByKey8{});
+}
+
 // ---- recorded networks and monotone compaction (obl/route.hpp) ---------
 
 enum class Recorded { Sort, Merge };
 
 /// Duplicate-heavy records with distinct payloads; a merge input is made
-/// bitonic (ascending half, then descending half) by key.
-std::vector<Elem> recorded_input(Recorded which, size_t n) {
+/// bitonic (ascending half, then descending half) under `less`.
+template <class T, class Less>
+std::vector<T> recorded_input(Recorded which, size_t n, const Less& less) {
   util::Rng rng(n + 77);
-  std::vector<Elem> in(n);
+  std::vector<T> in(n);
   for (size_t i = 0; i < n; ++i) {
-    in[i] = dup_rec(Elem{}, rng.below(1 + n / 16), i);
+    in[i] = dup_rec(T{}, rng.below(1 + n / 16), i);
   }
   if (which == Recorded::Merge) {
-    const auto by_key = [](const Elem& a, const Elem& b) {
-      return a.key < b.key;
-    };
-    std::sort(in.begin(), in.begin() + n / 2, by_key);
+    std::sort(in.begin(), in.begin() + n / 2, less);
     std::sort(in.begin() + n / 2, in.end(),
-              [&](const Elem& a, const Elem& b) { return by_key(b, a); });
+              [&](const T& a, const T& b) { return less(b, a); });
   }
   return in;
 }
 
-void record(Recorded which, const slice<Elem>& a,
-            std::vector<uint8_t>& tape) {
+template <class T, class Less>
+void record(Recorded which, const slice<T>& a, std::vector<uint8_t>& tape,
+            const Less& less) {
   if (which == Recorded::Sort) {
-    obl::bitonic_sort_record(a, tape, obl::ByKey{});
+    obl::bitonic_sort_record(a, tape, less);
   } else {
-    obl::bitonic_merge_record(a, tape, obl::ByKey{});
+    obl::bitonic_merge_record(a, tape, less);
   }
 }
 
-void unreplay(Recorded which, const slice<Elem>& a,
+template <class T>
+void unreplay(Recorded which, const slice<T>& a,
               const std::vector<uint8_t>& tape) {
   if (which == Recorded::Sort) {
     obl::bitonic_sort_unreplay(a, tape);
@@ -332,25 +365,28 @@ void unreplay(Recorded which, const slice<Elem>& a,
   }
 }
 
-TEST(RecordedNetwork, NativeMatchesInstrumented) {
-  // The native runner forks rounds and runs in-tile rounds tile by tile on
-  // a 4-thread pool; the instrumented runner forks 8-pair leaves. Both
-  // must write the same tape and the same bytes, ties included.
+/// The native runner forks rounds and runs in-tile rounds tile by tile on
+/// a 4-thread pool; the instrumented runner forks 8-pair leaves. Both must
+/// write the same tape and the same bytes, ties included.
+template <class T, class Less>
+void expect_recorded_native_matches_instrumented(const Less& less) {
   fj::WithPool wp(3);
   for (const Recorded which : {Recorded::Sort, Recorded::Merge}) {
     for (size_t n = 2; n <= (size_t{1} << 15); n *= 2) {
-      const std::vector<Elem> in = recorded_input(which, n);
-      vec<Elem> native(in);
+      const std::vector<T> in = recorded_input<T>(which, n, less);
+      vec<T> native(in);
       std::vector<uint8_t> native_tape;
-      wp.run([&] { record(which, native.s(), native_tape); });
-      EXPECT_TRUE(test::sorted_by_key(native.underlying())) << n;
-      std::vector<Elem> expect;
+      wp.run([&] { record(which, native.s(), native_tape, less); });
+      EXPECT_TRUE(std::is_sorted(native.underlying().begin(),
+                                 native.underlying().end(), less))
+          << n;
+      std::vector<T> expect;
       std::vector<uint8_t> expect_tape;
       {
         sim::Session s = sim::Session::analytic();
         sim::ScopedSession guard(s);
-        vec<Elem> inst(in);
-        record(which, inst.s(), expect_tape);
+        vec<T> inst(in);
+        record(which, inst.s(), expect_tape, less);
         expect = inst.underlying();
       }
       ASSERT_EQ(native_tape.size(), expect_tape.size()) << n;
@@ -358,24 +394,24 @@ TEST(RecordedNetwork, NativeMatchesInstrumented) {
                             expect_tape.size()),
                 0)
           << "tape, n=" << n << " merge=" << (which == Recorded::Merge);
-      ASSERT_EQ(std::memcmp(native.data(), expect.data(), n * sizeof(Elem)),
-                0)
+      ASSERT_EQ(std::memcmp(native.data(), expect.data(), n * sizeof(T)), 0)
           << "bytes, n=" << n << " merge=" << (which == Recorded::Merge);
     }
   }
 }
 
-TEST(RecordedNetwork, UnreplayRestoresInput) {
+template <class T, class Less>
+void expect_unreplay_restores_input(const Less& less) {
   fj::WithPool wp(3);
   for (const Recorded which : {Recorded::Sort, Recorded::Merge}) {
     for (const size_t n : {size_t{2}, size_t{16}, size_t{1024},
                            size_t{1} << 13}) {
-      const std::vector<Elem> in = recorded_input(which, n);
+      const std::vector<T> in = recorded_input<T>(which, n, less);
       for (const bool instrumented : {false, true}) {
-        vec<Elem> v(in);
+        vec<T> v(in);
         std::vector<uint8_t> tape;
         auto run = [&] {
-          record(which, v.s(), tape);
+          record(which, v.s(), tape, less);
           unreplay(which, v.s(), tape);
         };
         if (instrumented) {
@@ -385,7 +421,7 @@ TEST(RecordedNetwork, UnreplayRestoresInput) {
         } else {
           wp.run(run);
         }
-        ASSERT_EQ(std::memcmp(v.data(), in.data(), n * sizeof(Elem)), 0)
+        ASSERT_EQ(std::memcmp(v.data(), in.data(), n * sizeof(T)), 0)
             << "n=" << n << " merge=" << (which == Recorded::Merge)
             << " instrumented=" << instrumented;
       }
@@ -393,17 +429,37 @@ TEST(RecordedNetwork, UnreplayRestoresInput) {
   }
 }
 
+TEST(RecordedNetwork, NativeMatchesInstrumented) {
+  expect_recorded_native_matches_instrumented<Elem>(obl::ByKey{});
+}
+
+TEST(RecordedNetwork, KeyValNativeMatchesInstrumented) {
+  expect_recorded_native_matches_instrumented<apps::KeyVal>(
+      apps::detail::ByKeyKV{});
+  expect_recorded_native_matches_instrumented<apps::KeyVal>(
+      apps::detail::ByKeyValDesc{});
+}
+
+TEST(RecordedNetwork, UnreplayRestoresInput) {
+  expect_unreplay_restores_input<Elem>(obl::ByKey{});
+}
+
+TEST(RecordedNetwork, KeyValUnreplayRestoresInput) {
+  expect_unreplay_restores_input<apps::KeyVal>(apps::detail::ByKeyKV{});
+  expect_unreplay_restores_input<apps::KeyVal>(apps::detail::ByKeyValDesc{});
+}
+
 TEST(RecordedNetwork, SpanIsPolylog) {
   // Rounds fork into constant-size leaves, so a round costs O(log m) span
   // and the sort O(log^3 m): span(4m)/span(m) stays far below the ~5.5 of
   // a runner that walks every pair of a round on one thread.
   auto span_of = [](Recorded which, size_t n) {
-    const std::vector<Elem> in = recorded_input(which, n);
+    const std::vector<Elem> in = recorded_input<Elem>(which, n, obl::ByKey{});
     sim::Session s = sim::Session::analytic();
     sim::ScopedSession guard(s);
     vec<Elem> v(in);
     std::vector<uint8_t> tape;
-    record(which, v.s(), tape);
+    record(which, v.s(), tape, obl::ByKey{});
     unreplay(which, v.s(), tape);
     return s.cost().span;
   };

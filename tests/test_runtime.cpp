@@ -225,6 +225,22 @@ TEST(RuntimeContract, BackendSortRejectsReservedKey) {
   }
 }
 
+// Only the network backends pad a non-power-of-two input; the full sorts
+// take any n, so 700 keys cost them less work than 1024 (padding to 1024
+// added the pad copies on top of the 1024-key sort).
+TEST(RuntimeContract, FullSortBackendSortsUnpadded) {
+  for (const char* backend : {"spms", "osort"}) {
+    auto work_of = [&](size_t n) {
+      auto rt = Runtime::builder().seed(2).analytic().build();
+      auto v = rt.make_vec<Elem>(test::random_elems(n, 5));
+      rt.backend_sort(v.s(), SortOptions{.backend = backend});
+      EXPECT_TRUE(test::sorted_by_key(v.underlying())) << backend << n;
+      return rt.cost().work;
+    };
+    EXPECT_LT(work_of(700), work_of(1024)) << backend;
+  }
+}
+
 // Output and per-address arrays must match the address count; a mismatch
 // used to write past the smaller buffer.
 TEST(RuntimeContract, GatherAndScatterRejectSizeMismatch) {
