@@ -13,12 +13,20 @@
 // measured analytic work/span/cache of the executed bitonic sort (config
 // "bitonic_sort") — all deterministic counts, diffable across PRs by the
 // CI snapshot check.
+//
+// Section "theorem_e1" reproduces Theorem E.1: the cache-agnostic bitonic
+// sort (obl::bitonic_sort_ca) against the naive layer-by-layer fork-join
+// schedule (obl::bitonic_sort_layerwise) of the same network. Claims: equal
+// comparator counts; span O(log^2 n loglog n) vs O(log^3 n); cache
+// O((n/B) log_M n log(n/M)) vs O((n/B) log^2 n). The span and miss ratios
+// naive/cache-agnostic should grow with n.
 
 #include <cstdio>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "obl/bitonic.hpp"
+#include "obl/bitonic_ca.hpp"
 #include "obl/elem.hpp"
 #include "sim/tracked.hpp"
 #include "util/bits.hpp"
@@ -153,6 +161,34 @@ int main() {
                 sz, (unsigned long long)comparators,
                 (unsigned long long)depth, (unsigned long long)m.work,
                 (unsigned long long)m.span, (unsigned long long)m.misses);
+  }
+
+  bench::print_header("Theorem E.1: cache-agnostic vs naive bitonic sort",
+                      "n | S and Q per schedule | ratios naive/ca should "
+                      "grow; comparators identical");
+  for (size_t sz : {size_t{1} << 10, size_t{1} << 12, size_t{1} << 14,
+                    size_t{1} << 16}) {
+    util::Rng rng(sz);
+    std::vector<obl::Elem> in(sz);
+    for (size_t i = 0; i < sz; ++i) in[i].key = rng();
+    const auto ca = bench::measure([&] {
+      vec<obl::Elem> v(in);
+      obl::bitonic_sort_ca(v.s());
+    });
+    const auto naive = bench::measure([&] {
+      vec<obl::Elem> v(in);
+      obl::bitonic_sort_layerwise(v.s());
+    });
+    bench::record("theorem_e1", "cache_agnostic", sz, "bitonic_ca", ca);
+    bench::record("theorem_e1", "naive", sz, "naive_bitonic", naive);
+    std::printf(
+        "n=%-6zu | ca S=%-7llu Q=%-8llu | naive S=%-7llu Q=%-9llu | "
+        "S ratio=%.2f Q ratio=%.2f (comparators=%llu)\n",
+        sz, (unsigned long long)ca.span, (unsigned long long)ca.misses,
+        (unsigned long long)naive.span, (unsigned long long)naive.misses,
+        double(naive.span) / double(ca.span),
+        double(naive.misses) / double(ca.misses),
+        (unsigned long long)obl::bitonic_comparator_count(sz));
   }
   bench::write_json("BENCH_fig1.json");
 

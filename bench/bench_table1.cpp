@@ -13,6 +13,9 @@
 //     grows (the paper's algorithms beat the insecure baselines' span by a
 //     log factor; our insecure CC/MSF baselines already use the improved
 //     round structure, so their span ratio is ~flat rather than shrinking).
+//   * the "orba" rows (Lemma 3.1, REC-ORBA alone): work O(n log n), span
+//     O(log n loglog n), misses O((n/B) log_M n), so W/(n lg n),
+//     S/(lg n lglg n) and Q/((n/B) log_M n) should stay ~flat over n.
 
 #include <chrono>
 #include <cstdio>
@@ -24,6 +27,7 @@
 #include "apps/listrank.hpp"
 #include "apps/msf.hpp"
 #include "bench_util.hpp"
+#include "core/orba.hpp"
 #include "core/osort.hpp"
 #include "insecure/contraction.hpp"
 #include "insecure/euler.hpp"
@@ -113,6 +117,27 @@ int main() {
         "Sort-T n=%-7zu | obl W=%-11llu S=%-8llu Q=%-9llu (ORP+SPMS)\n", n,
         (unsigned long long)mt.work, (unsigned long long)mt.span,
         (unsigned long long)mt.misses);
+  }
+
+  bench::print_header("REC-ORBA (Lemma 3.1)",
+                      "W/(n lg n) and S/(lg n lglg n) should be ~flat");
+  for (size_t n : {1u << 10, 1u << 11, 1u << 12, 1u << 13, 1u << 14}) {
+    util::Rng rng(n);
+    std::vector<obl::Elem> in(n);
+    for (size_t i = 0; i < n; ++i) in[i].key = rng();
+    const Measure m = measure([&] {
+      vec<obl::Elem> v(in);
+      (void)core::detail::orba(v.s(), 7, core::SortParams::auto_for(n));
+    });
+    record("orba", "rec_orba", n, "", m);
+    const double dn = double(n);
+    std::printf(
+        "ORBA n=%-7zu W=%-11llu S=%-7llu Q=%-9llu | W/(n lg n)=%-6.2f "
+        "S/(lg n lglg n)=%-7.1f Q/((n/B)logM n)=%.2f\n",
+        n, (unsigned long long)m.work, (unsigned long long)m.span,
+        (unsigned long long)m.misses, double(m.work) / (dn * bench::lg(dn)),
+        double(m.span) / (bench::lg(dn) * bench::lglg(dn)),
+        double(m.misses) / ((dn * 32.0 / bench::kB) * bench::logM(dn)));
   }
 
   bench::print_header("List ranking", "");

@@ -130,26 +130,26 @@ void register_backend(std::string_view name, BackendFactory factory) {
   r.factories.insert_or_assign(std::string(name), std::move(factory));
 }
 
-BackendFactory find_backend_factory(std::string_view name) {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lk(r.m);
-  auto it = r.factories.find(name);
-  if (it == r.factories.end()) {
-    std::string msg = "unknown sorter backend \"";
-    msg += name;
-    msg += "\"; registered:";
-    for (const auto& [known, f] : r.factories) {
-      msg += ' ';
-      msg += known;
-    }
-    throw UnknownBackend(msg);
-  }
-  return it->second;
-}
-
 std::shared_ptr<const SorterBackend> make_backend(std::string_view name,
                                                   const BackendConfig& config) {
-  return find_backend_factory(name)(config);
+  BackendFactory factory;
+  {
+    Registry& r = registry();
+    std::lock_guard<std::mutex> lk(r.m);
+    auto it = r.factories.find(name);
+    if (it == r.factories.end()) {
+      std::string msg = "unknown sorter backend \"";
+      msg += name;
+      msg += "\"; registered:";
+      for (const auto& [known, f] : r.factories) {
+        msg += ' ';
+        msg += known;
+      }
+      throw UnknownBackend(msg);
+    }
+    factory = it->second;
+  }
+  return factory(config);
 }
 
 std::vector<std::string> backend_names() {

@@ -5,10 +5,9 @@
 // Every composite oblivious primitive (bin placement, compaction,
 // send-receive, the Section 5 apps, the PRAM simulations) delegates its
 // sorts to a SorterBackend instead of a compile-time template policy, so a
-// Table 2 configuration is a *name*:
+// Table 2 configuration is a *name*, chosen once per Runtime:
 //
 //   auto rt = dopar::Runtime::builder().backend("odd_even").build();
-//   rt.backend_sort(a, dopar::SortOptions{.backend = "spms"});  // per-call
 //
 // Built-in names: "bitonic_ca" (default; cache-agnostic bitonic, Theorem
 // E.1), "bitonic" (depth-first recursive bitonic), "naive_bitonic"
@@ -36,7 +35,6 @@
 #include <functional>
 #include <type_traits>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -178,12 +176,6 @@ struct UnknownBackend : std::invalid_argument {
 /// Register (or replace) a named backend. Thread-safe.
 void register_backend(std::string_view name, BackendFactory factory);
 
-/// Look up a registered factory by name. Throws UnknownBackend. Lets
-/// callers validate a name *before* committing side effects (the Runtime
-/// resolves per-call overrides this way so a typo'd name cannot advance
-/// its seed stream and break call-for-call replay).
-BackendFactory find_backend_factory(std::string_view name);
-
 /// Instantiate a registered backend by name. Throws UnknownBackend.
 std::shared_ptr<const SorterBackend> make_backend(
     std::string_view name, const BackendConfig& config = {});
@@ -191,19 +183,12 @@ std::shared_ptr<const SorterBackend> make_backend(
 /// Names currently registered, sorted.
 std::vector<std::string> backend_names();
 
-/// Per-call override for the sorter-parametric Runtime methods. Empty
-/// fields inherit the Runtime's configuration.
-///
-///   rt.backend_sort(a, SortOptions{.backend = "spms"});
-///
-/// `params` applies to the ORBA/ORP pipeline parameters of
-/// sort/permute/bin_assign and of a full-sort backend's internal sorts.
-/// `backend` is owning (std::string): options objects outlive the
-/// expressions that build them, so a dynamically composed name must not
-/// dangle.
-struct SortOptions {
-  std::string backend{};
-  std::optional<core::SortParams> params{};
-};
+/// The type of the ignored JoinOptions::sort and GroupByOptions::sort
+/// fields (rel/rel.hpp), kept only so designated initializers that name
+/// them still compile. Runtime::Builder::backend()/params() are the one
+/// backend selector. The struct is empty on purpose: an initializer that
+/// sets a backend or parameters here is a compile error, not a setting
+/// that is silently dropped.
+struct SortOptions {};
 
 }  // namespace dopar

@@ -20,9 +20,9 @@
 //     primitives of concurrent pipelines share that one arena.
 //   * its sorter backend: the named entry of the backend registry
 //     (core/backend.hpp) every sorter-parametric primitive routes through.
-//     Builder .backend("odd_even") selects it per Runtime; every such
-//     method also takes a dopar::SortOptions whose .backend overrides it
-//     per call (a Table 2 row is one argument, not a rebuild).
+//     Builder .backend("odd_even") and .params(...) select it and its
+//     pipeline parameters; they are the only selector, so a Table 2 row is
+//     one Runtime.
 //   * its measurement session (builder .analytic()/.cache()/.trace()).
 //     An instrumented Runtime executes serially on the analytic executor
 //     (exact span, deterministic traces) and exposes the totals via
@@ -214,13 +214,11 @@ class Runtime {
   /// sorts, which a full-sort backend ("osort", "spms") hands to
   /// "bitonic_ca"; to run a full-sort backend as the whole sort, call
   /// backend_sort.
-  void sort(const slice<obl::Elem>& a, const SortOptions& opts = {}) {
-    const auto sorter = resolve(opts);
+  void sort(const slice<obl::Elem>& a) {
     const uint64_t s = fresh_seed();
     obs::Span span("rt.sort", "n", a.size());
     with_env([&] {
-      core::detail::osort(a, s, std::nullopt, opts.params.value_or(params_),
-                          *sorter);
+      core::detail::osort(a, s, std::nullopt, params_, *backend_);
     });
   }
 
@@ -237,8 +235,7 @@ class Runtime {
   /// sorts the n records as they are. Fillers carry the maximal key, so
   /// keys must be < 2^64-1 on every backend, as everywhere else in the
   /// library (std::invalid_argument otherwise, in every build type).
-  void backend_sort(const slice<obl::Elem>& a, const SortOptions& opts = {}) {
-    const auto sorter = resolve(opts);
+  void backend_sort(const slice<obl::Elem>& a) {
     // Untracked reads: validating the input adds nothing to a trace.
     const obl::Elem* raw = a.data();
     for (size_t i = 0; i < a.size(); ++i) {
@@ -248,26 +245,21 @@ class Runtime {
       }
     }
     obs::Span span("rt.backend_sort", "n", a.size());
-    with_env([&] { sorter->sort(a); });
+    with_env([&] { backend_->sort(a); });
   }
 
   /// Obliviously permute `in` into `out` uniformly at random (ORP).
-  void permute(const slice<obl::Elem>& in, const slice<obl::Elem>& out,
-               const SortOptions& opts = {}) {
-    const auto sorter = resolve(opts);
+  void permute(const slice<obl::Elem>& in, const slice<obl::Elem>& out) {
     const uint64_t s = fresh_seed();
     obs::Span span("rt.permute", "n", in.size());
-    with_env([&] {
-      core::detail::orp(in, out, s, opts.params.value_or(params_), *sorter);
-    });
+    with_env([&] { core::detail::orp(in, out, s, params_, *backend_); });
   }
 
   /// Oblivious random bin assignment (REC-ORBA). |in| must be a power of
   /// two and at least the bin capacity Z, itself a power of two >= 2
   /// (std::invalid_argument otherwise).
-  core::OrbaOutput bin_assign(const slice<obl::Elem>& in,
-                              const SortOptions& opts = {}) {
-    core::SortParams p = opts.params.value_or(params_);
+  core::OrbaOutput bin_assign(const slice<obl::Elem>& in) {
+    core::SortParams p = params_;
     if (p.Z == 0) p = core::SortParams::auto_for(in.size());
     if (!util::is_pow2(in.size())) {
       throw std::invalid_argument("bin_assign: |in| must be a power of two");
@@ -277,11 +269,10 @@ class Runtime {
           "bin_assign: the bin capacity Z must be a power of two >= 2 and "
           "at most |in|");
     }
-    const auto sorter = resolve(opts);
     const uint64_t s = fresh_seed();
     obs::Span span("rt.bin_assign", "n", in.size());
     core::OrbaOutput out;
-    with_env([&] { out = core::detail::orba(in, s, p, *sorter); });
+    with_env([&] { out = core::detail::orba(in, s, p, *backend_); });
     return out;
   }
 
@@ -291,14 +282,12 @@ class Runtime {
   /// < 2^63 (std::invalid_argument otherwise).
   void send_receive(const slice<obl::Elem>& sources,
                     const slice<obl::Elem>& dests,
-                    const slice<obl::Elem>& results,
-                    const SortOptions& opts = {}) {
+                    const slice<obl::Elem>& results) {
     check_send_receive(sources, dests, results);
-    const auto sorter = resolve(opts);
     obs::Span span("rt.send_receive", "sources", sources.size(), "dests",
                    dests.size());
     with_env([&] {
-      obl::detail::send_receive(sources, dests, results, *sorter);
+      obl::detail::send_receive(sources, dests, results, *backend_);
     });
   }
 
@@ -349,14 +338,13 @@ class Runtime {
   /// size is accepted (network sorters need a power of two, so a
   /// non-power-of-two input runs through a filler-padded scratch buffer).
   /// Clobbers Elem::extra (the engine's stability rank lives there).
-  void compact(const slice<obl::Elem>& a, const SortOptions& opts = {}) {
-    const auto sorter = resolve(opts);
+  void compact(const slice<obl::Elem>& a) {
     obs::Span span("rt.compact", "n", a.size());
     with_env([&] {
       const size_t n = a.size();
       if (n <= 1) return;
       if (util::is_pow2(n)) {
-        obl::compact_oblivious(a, *sorter);
+        obl::compact_oblivious(a, *backend_);
         return;
       }
       const size_t padded = util::pow2_ceil(n);
@@ -367,7 +355,7 @@ class Runtime {
                               obl::kernel::Tick::PerElem);
       // Scratch fillers rank behind the input's own fillers, so the first
       // n records are exactly the compacted input.
-      obl::compact_oblivious(t, *sorter);
+      obl::compact_oblivious(t, *backend_);
       obl::kernel::copy_range(a, 0, t, 0, n, obl::kernel::Tick::PerElem);
     });
   }
@@ -391,16 +379,12 @@ class Runtime {
   /// layout, and no default constructor — only copyability. Ties are
   /// broken by the internal random permutation (the order is not stable).
   template <class Rec, class KeyFn>
-  void sort_records(std::span<Rec> recs, KeyFn&& key_of,
-                    const SortOptions& opts = {}) {
+  void sort_records(std::span<Rec> recs, KeyFn&& key_of) {
     static_assert(
         std::is_convertible_v<std::invoke_result_t<KeyFn&, const Rec&>,
                               uint64_t>,
         "sort_records: key_of(rec) must yield an unsigned 64-bit sort key");
     const size_t n = recs.size();
-    // Validate the per-call backend name even when the input is trivially
-    // sorted — a typo'd name must throw regardless of input size.
-    const auto sorter = resolve(opts);
     if (n <= 1) return;
     std::vector<uint64_t> rec_keys(n);
     for (size_t i = 0; i < n; ++i) {
@@ -423,8 +407,7 @@ class Runtime {
         e.payload = i;
         keys[i] = e;
       });
-      core::detail::osort(keys, s, std::nullopt,
-                          opts.params.value_or(params_), *sorter);
+      core::detail::osort(keys, s, std::nullopt, params_, *backend_);
       fj::for_range(0, n, fj::kDefaultGrain,
                     [&](size_t i) { order[i] = keys[i].payload; });
     });
@@ -500,7 +483,7 @@ class Runtime {
     rel::GroupByResult res;
     res.groups_total = run_group_by("rt.group_by", "group_by_aggregate",
                                     keys, values, {rel::GroupSlot{n, bound}},
-                                    agg, frame, opts.sort)[0];
+                                    agg, frame)[0];
     // The data-dependent strip happens outside the measured environment
     // (client side).
     res.groups.reserve(std::min<uint64_t>(res.groups_total, bound));
@@ -543,9 +526,9 @@ class Runtime {
       const std::vector<uint64_t>& keys,
       const std::vector<uint64_t>& values,
       const std::vector<rel::GroupSlot>& slots, rel::Agg agg,
-      std::vector<obl::Elem>& frame, const SortOptions& opts = {}) {
+      std::vector<obl::Elem>& frame) {
     return run_group_by("rt.group_by_batched", "group_by_batched", keys,
-                        values, slots, agg, frame, opts);
+                        values, slots, agg, frame);
   }
 
   // ---- Section 5 applications -----------------------------------------
@@ -553,30 +536,26 @@ class Runtime {
   /// Oblivious list ranking: distance (weighted) to the list tail. Every
   /// successor must be < |succ| (the tail points to itself), and a weight
   /// array must have one entry per node (std::invalid_argument otherwise).
-  std::vector<uint64_t> list_rank(const std::vector<uint64_t>& succ,
-                                  const SortOptions& opts = {}) {
+  std::vector<uint64_t> list_rank(const std::vector<uint64_t>& succ) {
     check_list("list_rank", succ);
-    const auto sorter = resolve(opts);
     const uint64_t s = fresh_seed();
     obs::Span span("rt.list_rank", "n", succ.size());
     std::vector<uint64_t> out;
-    with_env([&] { out = apps::detail::list_rank(succ, s, *sorter); });
+    with_env([&] { out = apps::detail::list_rank(succ, s, *backend_); });
     return out;
   }
   std::vector<uint64_t> list_rank(const std::vector<uint64_t>& succ,
-                                  const std::vector<uint64_t>& weight,
-                                  const SortOptions& opts = {}) {
+                                  const std::vector<uint64_t>& weight) {
     check_list("list_rank", succ);
     if (weight.size() != succ.size()) {
       throw std::invalid_argument(
           "list_rank: weight must have one entry per node");
     }
-    const auto sorter = resolve(opts);
     const uint64_t s = fresh_seed();
     obs::Span span("rt.list_rank", "n", succ.size());
     std::vector<uint64_t> out;
     with_env(
-        [&] { out = apps::detail::list_rank(succ, weight, s, *sorter); });
+        [&] { out = apps::detail::list_rank(succ, weight, s, *backend_); });
     return out;
   }
 
@@ -584,30 +563,26 @@ class Runtime {
   /// needs at least one edge, and every endpoint and the root must name
   /// one of its |edges| + 1 vertices (std::invalid_argument otherwise).
   std::vector<uint64_t> euler_tour(const std::vector<apps::Edge>& edges,
-                                   uint32_t root,
-                                   const SortOptions& opts = {}) {
+                                   uint32_t root) {
     check_tree("euler_tour", edges, root);
-    const auto sorter = resolve(opts);
     const uint64_t s = fresh_seed();
     obs::Span span("rt.euler_tour", "edges", edges.size());
     std::vector<uint64_t> out;
     with_env(
-        [&] { out = apps::detail::euler_tour(edges, root, s, *sorter); });
+        [&] { out = apps::detail::euler_tour(edges, root, s, *backend_); });
     return out;
   }
 
   /// Parent / depth / preorder / subtree size for every vertex. Same
   /// contract as euler_tour.
   apps::TreeFunctions tree_functions(const std::vector<apps::Edge>& edges,
-                                     uint32_t root,
-                                     const SortOptions& opts = {}) {
+                                     uint32_t root) {
     check_tree("tree_functions", edges, root);
-    const auto sorter = resolve(opts);
     const uint64_t s = fresh_seed();
     obs::Span span("rt.tree_functions", "edges", edges.size());
     apps::TreeFunctions out;
     with_env(
-        [&] { out = apps::detail::tree_functions(edges, root, s, *sorter); });
+        [&] { out = apps::detail::tree_functions(edges, root, s, *backend_); });
     return out;
   }
 
@@ -1042,8 +1017,7 @@ class Runtime {
                                      const std::vector<uint64_t>& values,
                                      const std::vector<rel::GroupSlot>& slots,
                                      rel::Agg agg,
-                                     std::vector<obl::Elem>& frame,
-                                     const SortOptions& opts) {
+                                     std::vector<obl::Elem>& frame) {
     constexpr uint64_t kMaxRows = uint64_t{1} << 32;
     const size_t S = slots.size();
     if (S == 0 || S > rel::kMaxRelBatchSlots) {
@@ -1063,7 +1037,6 @@ class Runtime {
                                   ": rows must match the slot shapes");
     }
     check_rel_keys(what, keys, S);
-    const auto sorter = resolve(opts);
     obs::Span span(span_name, "rows", n_total, "bound", bound_total);
     frame.assign(bound_total, obl::Elem::filler());
     std::vector<uint64_t> groups;
@@ -1076,7 +1049,7 @@ class Runtime {
                                     e.payload = values[i];
                                   });
       groups = rel::detail::group_by_engine(inv.s(), agg, slots, outv.s(),
-                                            *sorter);
+                                            *backend_);
       std::copy_n(outv.s().data(), bound_total, frame.data());
     });
     return groups;
@@ -1139,20 +1112,6 @@ class Runtime {
     }
     return util::hash_rand(seed_,
                            seq_.fetch_add(1, std::memory_order_relaxed) + 1);
-  }
-
-  /// The backend a call uses: the per-call override if SortOptions names
-  /// one (instantiated with a fresh derived seed, so "osort" overrides
-  /// stay seed-deterministic), else the Runtime's configured backend.
-  /// Throws UnknownBackend on an unregistered name — BEFORE drawing any
-  /// seed, so a rejected call never advances the seed stream and the
-  /// call-for-call replay contract holds across error paths. (Methods
-  /// that draw their own seed call resolve() first for the same reason.)
-  std::shared_ptr<const SorterBackend> resolve(const SortOptions& opts) {
-    if (opts.backend.empty()) return backend_;
-    BackendFactory factory = find_backend_factory(opts.backend);
-    return factory(
-        BackendConfig{fresh_seed(), opts.params.value_or(params_)});
   }
 
   /// Run `f` inside this Runtime's execution environment: measurement

@@ -27,10 +27,10 @@
 namespace dopar {
 
 // Convenience aliases: the façade vocabulary at namespace scope, so
-// applications write dopar::Runtime, dopar::Elem, dopar::SortParams,
-// dopar::SortOptions, ... without spelunking the layer namespaces.
-// (SorterBackend, SortOptions, Future, register_backend,
-// make_backend and backend_names already live at namespace dopar scope.)
+// applications write dopar::Runtime, dopar::Elem, dopar::SortParams, ...
+// without spelunking the layer namespaces. (SorterBackend, Future,
+// register_backend, make_backend and backend_names already live at
+// namespace dopar scope.)
 using core::SortParams;
 using obl::Elem;
 using sched::SchedPolicy;

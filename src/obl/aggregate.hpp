@@ -14,7 +14,6 @@
 #include "forkjoin/api.hpp"
 #include "obl/elem.hpp"
 #include "obl/kernel/kernel.hpp"
-#include "obl/oswap.hpp"
 #include "obl/scan.hpp"
 #include "sim/tracked.hpp"
 
@@ -62,27 +61,6 @@ void aggregate_suffix(const slice<Elem>& a, const Op& op) {
   kernel::transform_range(
       a, 0, n, kernel::Tick::PerElem,
       [&](Elem& e, size_t i) { e.payload = sg[i].value; });
-}
-
-/// Exclusive variant: payload[i] <- op-fold of payload[j] for j > i in i's
-/// key-group; elements that are the last of their group get `empty`.
-template <class Op>
-void aggregate_suffix_exclusive(const slice<Elem>& a, const Op& op,
-                                uint64_t empty) {
-  const size_t n = a.size();
-  if (n == 0) return;
-  aggregate_suffix(a, op);
-  vec<uint64_t> folded(n);
-  const slice<uint64_t> fo = folded.s();
-  kernel::generate_range(fo, 0, n, kernel::Tick::None,
-                         [&](uint64_t& v, size_t i) { v = a[i].payload; });
-  kernel::transform_range(
-      a, 0, n, kernel::Tick::PerElem, [&](Elem& e, size_t i) {
-        const bool tail = (i + 1 == n) || (a[i + 1].key != e.key);
-        // Fixed access pattern: always read a successor slot, then select.
-        const uint64_t next = fo[i + 1 == n ? i : i + 1];
-        e.payload = oselect(tail, empty, next);
-      });
 }
 
 }  // namespace dopar::obl

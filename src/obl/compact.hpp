@@ -53,7 +53,7 @@ inline size_t compact_reveal(const slice<Elem>& a) {
   vec<Elem> out(n, Elem::filler());
   const slice<Elem> o = out.s();
   const slice<uint64_t> p = pos.s();
-  kernel::for_each(0, n, [&](size_t i) {
+  fj::for_range(0, n, fj::kDefaultGrain, [&](size_t i) {
     const Elem e = a[i];
     if (!e.is_filler()) o[p[i]] = e;  // data-dependent: allowed here
   });

@@ -17,9 +17,9 @@
 //     implementation every vector kernel must agree with bit-for-bit.
 //
 // Selection: best supported ISA, unless the environment says otherwise:
-//   DOPAR_FORCE_SCALAR=1   pin the scalar kernels (reproducible CI runs);
-//   DOPAR_ISA=name         pin a specific ISA if supported (scalar/sse2/
-//                          avx2/neon), else fall back to the best one.
+//   DOPAR_ISA=name   pin a specific ISA if supported (scalar/sse2/avx2/
+//                    neon), else fall back to the best one; DOPAR_ISA=scalar
+//                    pins the scalar kernels (reproducible CI runs).
 // Tests and benches may switch kernels in-process via select_isa(); that
 // hook is for harness code — it is not synchronized against concurrently
 // running kernels (the kernels all compute the same function, so the only

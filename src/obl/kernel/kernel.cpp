@@ -346,10 +346,6 @@ Isa best_supported() {
 }
 
 Isa isa_from_env() {
-  if (const char* fs = std::getenv("DOPAR_FORCE_SCALAR");
-      fs && fs[0] != '\0' && !(fs[0] == '0' && fs[1] == '\0')) {
-    return Isa::Scalar;
-  }
   if (const char* name = std::getenv("DOPAR_ISA"); name && name[0] != '\0') {
     for (Isa isa : {Isa::Scalar, Isa::Sse2, Isa::Avx2, Isa::Neon}) {
       if (std::strcmp(name, isa_name(isa)) == 0 && isa_supported(isa)) {

@@ -389,17 +389,6 @@ void run_network(const slice<T>& a, const Network& net, const Less& less) {
                              less);
 }
 
-/// Run body(i) for each i in [lo, hi) in parallel. The blocked drop-in for
-/// fj::for_range call sites routed through this layer: instrumented runs
-/// keep the identical grain-1 fork tree and leaf order; native runs execute
-/// a tight serial loop per block.
-template <class F>
-inline void for_each(size_t lo, size_t hi, F&& body) {
-  fj::for_blocks(lo, hi, fj::kDefaultGrain, [&](size_t b0, size_t b1) {
-    for (size_t i = b0; i < b1; ++i) body(i);
-  });
-}
-
 /// Parallel copy of n records: dst[d0+i] = src[s0+i]. The regions must not
 /// overlap. Instrumented: per-element tracked assignments (read touch then
 /// write touch, one optional tick each). Native: blockwise memmove.

@@ -153,7 +153,7 @@ void shift_round(const slice<T>& src, const slice<uint64_t>& ts,
                  unsigned sh) {
   const size_t m = src.size();
   if (kernel::instrumented()) {
-    kernel::for_each(0, m, [&](size_t i) {
+    fj::for_range(0, m, fj::kDefaultGrain, [&](size_t i) {
       sim::tick(1);
       const uint64_t t = ts[i];
       const T cur = src[i];
@@ -251,7 +251,7 @@ void distribute_monotone(const slice<T>& a, const LiveFn& live,
     std::swap(src, dst);
     std::swap(ts, td);
   }
-  kernel::for_each(0, m, [&](size_t i) {
+  fj::for_range(0, m, fj::kDefaultGrain, [&](size_t i) {
     sim::tick(1);
     a[i] = oselect((ts[i] & 1) != 0, src[i], filler);
   });
@@ -295,7 +295,7 @@ inline void compact_monotone(const slice<Elem>& a, uint32_t live_flag) {
     std::swap(src, dst);
     std::swap(ts, td);
   }
-  kernel::for_each(0, m, [&](size_t i) {
+  fj::for_range(0, m, fj::kDefaultGrain, [&](size_t i) {
     sim::tick(1);
     Elem e = src[i];
     e.flags &= ~oselect<uint32_t>((ts[i] & 1) != 0, 0, live_flag);

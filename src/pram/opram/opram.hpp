@@ -27,7 +27,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <cstdio>
 #include <stdexcept>
 #include <vector>
 
@@ -175,42 +174,20 @@ class Level {
     }
   }
 
-  /// Diagnostics (non-oblivious; tests only): locate a block by address.
-  /// Returns {found, pos, on_its_path} — on_its_path is true when the
-  /// block sits in a bucket consistent with its pos field or in the stash.
+  /// Diagnostics (non-oblivious; tests only): locate a block by address,
+  /// in the buckets or the stash.
   struct FindResult {
     bool found = false;
     Block blk;
-    bool consistent = false;  ///< block reachable via path(blk.pos) or stash
   };
   FindResult debug_find(uint64_t addr) const {
-    FindResult r;
-    const auto& bs = buckets_.underlying();
-    for (size_t off = 0; off < bs.size(); ++off) {
-      if (bs[off].valid() && bs[off].addr == addr) {
-        r.found = true;
-        r.blk = bs[off];
-        for (uint64_t h = 1; h <= layout_.node_count(); ++h) {
-          if (size_t{layout_.offset(h)} * kW <= off &&
-              off < size_t{layout_.offset(h)} * kW + kW) {
-            unsigned d = 0;
-            for (uint64_t x = h; x > 1; x >>= 1) ++d;
-            const uint64_t path_node =
-                d == 0 ? 1
-                       : ((r.blk.pos >> (depth_ - d)) | (uint64_t{1} << d));
-            r.consistent = h == path_node;
-            break;
-          }
-        }
-        return r;
-      }
+    for (const Block& b : buckets_.underlying()) {
+      if (b.valid() && b.addr == addr) return FindResult{true, b};
     }
     for (const Block& b : stash_.underlying()) {
-      if (b.valid() && b.addr == addr) {
-        return FindResult{true, b, true};
-      }
+      if (b.valid() && b.addr == addr) return FindResult{true, b};
     }
-    return r;
+    return {};
   }
 
   /// Number of valid blocks currently in the stash (harness/diagnostics).
@@ -490,27 +467,6 @@ class Opram {
   uint64_t debug_data_pos(uint64_t addr) const {
     const auto r = levels_.back().debug_find(addr);
     return r.found ? r.blk.pos : ~uint64_t{0};
-  }
-
-  /// Diagnostics: print the position-label chain for `addr` (tests only).
-  void debug_chain(uint64_t addr) const {
-    std::fprintf(stderr, "chain for addr %llu (bits %u):\n",
-                 (unsigned long long)addr, addr_bits_);
-    uint64_t expect = root_table_[addr >> (addr_bits_ - kRootBits)];
-    for (unsigned k = kRootBits; k <= addr_bits_; ++k) {
-      const uint64_t ak = addr >> (addr_bits_ - k);
-      const auto r = levels_[k - kRootBits].debug_find(ak);
-      std::fprintf(
-          stderr,
-          "  L%u addr=%llu found=%d pos=%llu expect=%llu cons=%d labs=%llu/"
-          "%llu\n",
-          k, (unsigned long long)ak, r.found, (unsigned long long)r.blk.pos,
-          (unsigned long long)expect, r.consistent,
-          (unsigned long long)r.blk.lab0, (unsigned long long)r.blk.lab1);
-      if (!r.found) return;
-      expect = ((addr >> (addr_bits_ - k - 1)) & 1u) ? r.blk.lab1
-                                                     : r.blk.lab0;
-    }
   }
 
  private:

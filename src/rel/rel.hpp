@@ -153,6 +153,9 @@ struct GroupByOptions {
   /// trivially safe bound). Groups beyond it — in ascending key order —
   /// are truncated.
   size_t group_bound = 0;
+  /// Ignored: group-bys sort on the Runtime's backend
+  /// (Runtime::Builder::backend). Kept so existing designated
+  /// initializers still compile.
   SortOptions sort{};
 };
 

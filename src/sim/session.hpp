@@ -52,10 +52,8 @@ class Session {
   }
 
   void touch(uint32_t buf, uint64_t byte_off, uint32_t bytes) {
-    if (cost_active_) {
-      cost_.work += 1;
-      cost_.span += 1;
-    }
+    cost_.work += 1;
+    cost_.span += 1;
     if (buf == kNoBuf) return;
     if (cache_) cache_->access(bases_[buf] + byte_off, bytes);
     if (log_) log_->record(buf, byte_off, bytes);
@@ -81,13 +79,8 @@ class Session {
   CacheSim* cache() { return cache_.get(); }
   MemLog* log() { return log_.get(); }
 
-  /// Suspend/resume work-span counting while keeping cache/trace hooks on
-  /// (not normally needed; exposed for harness code).
-  void set_cost_active(bool on) { cost_active_ = on; }
-
  private:
   Cost cost_{};
-  bool cost_active_ = true;
   uint64_t line_ = 64;
   uint64_t next_base_ = 0;
   std::vector<uint64_t> bases_;

@@ -45,14 +45,6 @@ constexpr uint64_t pow2_floor(uint64_t x) {
   return uint64_t{1} << log2_floor(x);
 }
 
-/// Power of two nearest to x (ties round up).
-constexpr uint64_t pow2_round(uint64_t x) {
-  assert(x != 0);
-  const uint64_t lo = pow2_floor(x);
-  const uint64_t hi = lo == x ? x : lo << 1;
-  return (x - lo) < (hi - x) ? lo : hi;
-}
-
 /// Integer ceil division.
 constexpr uint64_t ceil_div(uint64_t a, uint64_t b) { return (a + b - 1) / b; }
 

@@ -1,5 +1,5 @@
 // Unit tests: the named sorter-backend registry (core/backend.hpp), its
-// Runtime plumbing (Builder::backend + per-call SortOptions), and the
+// Runtime plumbing (Builder::backend, the one selector), and the
 // async submission API (Runtime::submit -> dopar::Future).
 //
 // Parity discipline: the *functional* outputs of the oblivious primitives
@@ -20,6 +20,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -185,47 +186,18 @@ TEST(BackendDeterminism, EveryBackendReplaysItsTraceDigest) {
   EXPECT_NE(seen["spms"], seen["bitonic_ca"]);
 }
 
-// ---- SortOptions: per-call override --------------------------------------
+// ---- SortOptions: an empty struct ----------------------------------------
 
-TEST(SortOptions, PerCallBackendOverrideChangesTheSchedule) {
-  // Two identically-built, identically-driven runtimes whose SECOND call
-  // differs only in the per-call override: if resolve() honored the
-  // override, the final cumulative digests differ; if a regression made
-  // it fall back to the default backend, both runs would be bit-identical
-  // replays and the digests would collide.
-  constexpr size_t n = 128;
-  auto run = [&](const SortOptions& second_opts) {
-    auto rt = Runtime::builder().seed(31).trace().build();
-    std::vector<std::vector<uint64_t>> results;
-    for (int call = 0; call < 2; ++call) {
-      auto s = rt.make_vec<Elem>(n);
-      auto d = rt.make_vec<Elem>(n);
-      auto r = rt.make_vec<Elem>(n);
-      for (size_t i = 0; i < n; ++i) {
-        s.underlying()[i].key = 2 * i;
-        s.underlying()[i].payload = 100 + i;
-        d.underlying()[i].key = 2 * ((i * 5) % n);
-      }
-      rt.send_receive(s.s(), d.s(), r.s(),
-                      call == 1 ? second_opts : SortOptions{});
-      std::vector<uint64_t> payloads(n);
-      for (size_t i = 0; i < n; ++i) payloads[i] = r.underlying()[i].payload;
-      results.push_back(std::move(payloads));
-    }
-    return std::make_pair(rt.trace_digest(), std::move(results));
-  };
-
-  const auto [digest_default, res_default] = run(SortOptions{});
-  const auto [digest_override, res_override] =
-      run(SortOptions{.backend = "naive_bitonic"});
-
-  // The override ran a different network on the second call.
-  EXPECT_NE(digest_override, digest_default);
-  // And the functional results agree regardless of backend.
-  EXPECT_EQ(res_default, res_override);
+TEST(SortOptions, IsEmptySoNoFieldCanBeSilentlyIgnored) {
+  // Builder::backend()/params() are the only backend selector; SortOptions
+  // survives only as the type of the ignored JoinOptions::sort and
+  // GroupByOptions::sort fields, so setting a backend there cannot compile.
+  static_assert(std::is_empty_v<SortOptions>);
 }
 
-TEST(SortOptions, OsortBackendAutoSizesItsScratchSorts) {
+// ---- the full-sort backends, selected on the builder ---------------------
+
+TEST(OsortBackend, AutoSizesItsScratchSorts) {
   // Regression: Runtime-level params tuned for big arrays (large Z) must
   // not be forced onto the osort backend's much smaller internal scratch
   // sorts — beta = 2n/Z would round to 0 and the pipeline would die.
@@ -245,12 +217,12 @@ TEST(SortOptions, OsortBackendAutoSizesItsScratchSorts) {
   }
 }
 
-TEST(SortOptions, OsortOverrideSortsCorrectly) {
+TEST(OsortBackend, SortsCorrectly) {
   constexpr size_t n = 300;
-  auto rt = Runtime::builder().seed(3).build();
+  auto rt = Runtime::builder().seed(3).backend("osort").build();
   auto in = test::random_elems(n, 12);
   vec<Elem> v(in);
-  rt.sort(v.s(), SortOptions{.backend = "osort"});
+  rt.sort(v.s());
   EXPECT_TRUE(test::sorted_by_key(v.underlying()));
   EXPECT_TRUE(test::same_keys(v.underlying(), in));
 }
@@ -293,39 +265,24 @@ TEST(BackendRegistry, RegisteredBackendIsSelectableByNameEndToEnd) {
     return std::make_shared<const ProbeBackend>();
   });
 
-  // Per-call selection.
   probe_calls().store(0);
-  auto rt = Runtime::builder().seed(2).build();
-  auto in = test::random_elems(256, 6);
-  vec<Elem> v(in);
-  rt.sort(v.s(), SortOptions{.backend = "probe"});
-  EXPECT_GT(probe_calls().load(), 0);
-  EXPECT_TRUE(test::sorted_by_key(v.underlying()));
-
-  // Builder-level selection.
-  probe_calls().store(0);
-  auto rt2 = Runtime::builder().seed(2).backend("probe").build();
+  auto rt = Runtime::builder().seed(2).backend("probe").build();
   vec<Elem> s(std::vector<Elem>(8)), d(std::vector<Elem>(8)), r(8);
   for (size_t i = 0; i < 8; ++i) {
     s.underlying()[i].key = i;
     s.underlying()[i].payload = i;
     d.underlying()[i].key = 7 - i;
   }
-  rt2.send_receive(s.s(), d.s(), r.s());
+  rt.send_receive(s.s(), d.s(), r.s());
   EXPECT_GT(probe_calls().load(), 0);
 }
 
 // ---- error paths ----------------------------------------------------------
 
-TEST(BackendErrors, UnknownNameThrowsAtBuildAndAtCall) {
+TEST(BackendErrors, UnknownNameThrowsAtBuild) {
   // ("spms" used to be the canonical not-yet-registered name here; it is
   // a real backend now, so an AKS network stands in as the hypothetical.)
   EXPECT_THROW(Runtime::builder().backend("aks").build(), UnknownBackend);
-
-  auto rt = Runtime::builder().seed(1).build();
-  vec<Elem> v(std::vector<Elem>(16));
-  EXPECT_THROW(rt.sort(v.s(), SortOptions{.backend = "no_such_backend"}),
-               UnknownBackend);
 
   // The message names the registered backends (operator discoverability).
   try {
@@ -334,18 +291,6 @@ TEST(BackendErrors, UnknownNameThrowsAtBuildAndAtCall) {
   } catch (const UnknownBackend& e) {
     EXPECT_NE(std::string(e.what()).find("bitonic_ca"), std::string::npos);
   }
-}
-
-TEST(BackendErrors, RejectedOverrideDoesNotAdvanceTheSeedStream) {
-  // Seed-determinism must hold across error paths: a call rejected for an
-  // unknown backend name draws no seed, so a Runtime that caught the
-  // error still replays an identically built Runtime call-for-call.
-  auto rt = Runtime::builder().seed(123).build();
-  vec<Elem> v(16);
-  const uint64_t before = rt.seeds_drawn();
-  EXPECT_THROW(rt.sort(v.s(), SortOptions{.backend = "typo"}),
-               UnknownBackend);
-  EXPECT_EQ(rt.seeds_drawn(), before);
 }
 
 // ---- submit(): concurrency, results, exceptions ---------------------------

@@ -1,5 +1,5 @@
 // Unit tests: the dopar::Runtime façade (core/runtime.hpp). Backend
-// selection, per-call SortOptions and submit() live in test_backends.cpp.
+// selection and submit() live in test_backends.cpp.
 
 #include <gtest/gtest.h>
 
@@ -99,8 +99,9 @@ TEST(RuntimeSort, SortsElemSlicesOnEveryComparisonPhase) {
   rt.sort(v.s());
   check(v, "sort");
   for (const char* backend : {"osort", "spms"}) {
+    auto full = Runtime::builder().seed(7).threads(3).backend(backend).build();
     vec<Elem> w(in);
-    rt.backend_sort(w.s(), SortOptions{.backend = backend});
+    full.backend_sort(w.s());
     check(w, backend);
   }
 }
@@ -191,9 +192,8 @@ TEST(RuntimeContract, SortRecordsRejectsFillerSentinelKey) {
 // record with that key used to tie with them and could be dropped while a
 // filler took its place in the output.
 TEST(RuntimeContract, BackendSortRejectsReservedKey) {
-  auto rt = Runtime::builder().seed(2).build();
   for (const char* backend : {"bitonic_ca", "bitonic", "naive_bitonic"}) {
-    const SortOptions opts{.backend = backend, .params = {}};
+    auto rt = Runtime::builder().seed(2).backend(backend).build();
     for (const size_t n : {size_t{6}, size_t{7}, size_t{64}, size_t{100}}) {
       std::vector<obl::Elem> in(n);
       for (size_t i = 0; i < n; ++i) {
@@ -201,7 +201,7 @@ TEST(RuntimeContract, BackendSortRejectsReservedKey) {
         in[i].payload = i;
       }
       vec<obl::Elem> v = rt.make_vec(in);
-      EXPECT_THROW(rt.backend_sort(v.s(), opts), std::invalid_argument)
+      EXPECT_THROW(rt.backend_sort(v.s()), std::invalid_argument)
           << backend << " n=" << n;
       for (size_t i = 0; i < n; ++i) {  // untouched
         ASSERT_EQ(v.s().raw(i).key, in[i].key) << backend << " n=" << n;
@@ -209,7 +209,7 @@ TEST(RuntimeContract, BackendSortRejectsReservedKey) {
       // The largest legal key sorts, and every record survives.
       for (obl::Elem& e : in) e.key = std::min(e.key, ~uint64_t{0} - 1);
       vec<obl::Elem> ok = rt.make_vec(in);
-      rt.backend_sort(ok.s(), opts);
+      rt.backend_sort(ok.s());
       std::vector<uint64_t> payloads;
       for (size_t i = 0; i < n; ++i) {
         payloads.push_back(ok.s().raw(i).payload);
@@ -231,9 +231,9 @@ TEST(RuntimeContract, BackendSortRejectsReservedKey) {
 TEST(RuntimeContract, FullSortBackendSortsUnpadded) {
   for (const char* backend : {"spms", "osort"}) {
     auto work_of = [&](size_t n) {
-      auto rt = Runtime::builder().seed(2).analytic().build();
+      auto rt = Runtime::builder().seed(2).backend(backend).analytic().build();
       auto v = rt.make_vec<Elem>(test::random_elems(n, 5));
-      rt.backend_sort(v.s(), SortOptions{.backend = backend});
+      rt.backend_sort(v.s());
       EXPECT_TRUE(test::sorted_by_key(v.underlying())) << backend << n;
       return rt.cost().work;
     };
@@ -278,10 +278,10 @@ TEST(RuntimeContract, BinAssignRejectsOffPow2AndUndersizedInputs) {
   auto odd = rt.make_vec<Elem>(test::random_elems(96, 3));
   EXPECT_THROW((void)rt.bin_assign(odd.s()), std::invalid_argument);
   auto small = rt.make_vec<Elem>(test::random_elems(32, 3));
-  SortOptions wide;
-  wide.params = core::SortParams::auto_for(256);  // Z above |in|
-  ASSERT_GT(wide.params->Z, 32u);
-  EXPECT_THROW((void)rt.bin_assign(small.s(), wide), std::invalid_argument);
+  const core::SortParams wide = core::SortParams::auto_for(256);
+  ASSERT_GT(wide.Z, 32u);  // Z above |in|
+  auto wide_rt = Runtime::builder().seed(2).params(wide).build();
+  EXPECT_THROW((void)wide_rt.bin_assign(small.s()), std::invalid_argument);
   const core::OrbaOutput out = rt.bin_assign(small.s());
   EXPECT_EQ(out.beta * out.Z, 2 * small.size());
 }

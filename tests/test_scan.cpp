@@ -216,17 +216,6 @@ TEST(Aggregate, InclusiveSuffixSumsWithinGroups) {
   EXPECT_EQ(r[7].payload, 30u);
 }
 
-TEST(Aggregate, ExclusiveSuffix) {
-  vec<Elem> v(grouped_input());
-  obl::aggregate_suffix_exclusive(v.s(), AddU64{}, /*empty=*/0);
-  const auto& r = v.underlying();
-  EXPECT_EQ(r[0].payload, 9u);  // 2+3+4
-  EXPECT_EQ(r[3].payload, 0u);  // last of group
-  EXPECT_EQ(r[4].payload, 0u);  // singleton group
-  EXPECT_EQ(r[5].payload, 50u);
-  EXPECT_EQ(r[7].payload, 0u);
-}
-
 TEST(Aggregate, MaxOperator) {
   struct MaxU64 {
     uint64_t operator()(uint64_t a, uint64_t b) const {

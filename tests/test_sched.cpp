@@ -8,7 +8,7 @@
 //     at a time or all at once, on 1 thread or 4;
 //   * genuine primitive overlap: two pipelines' *sorts* (not just their
 //     glue) are in flight simultaneously on a default-built Runtime —
-//     probed with rendezvous backends;
+//     probed with a rendezvous backend;
 //   * the Future-blocking rule: waiting from inside a job on a job that
 //     has not started throws std::logic_error instead of deadlocking;
 //   * wall-clock: with >= 4 hardware threads, two pipelines submitted
@@ -151,19 +151,16 @@ TEST(SchedDeterminism, JobStreamsDoNotDisturbTheSynchronousStream) {
 
 // ---- genuine primitive overlap (the tentpole's acceptance) ---------------
 
-/// Rendezvous probe: two backends that flag their arrival inside a sort
-/// and wait (bounded) for the other side. On the shared arena the two
-/// pipelines' sorts are in flight together, so both flags are up while
-/// both sorts run; a runtime-wide execution lock would make that
-/// impossible. Sorts may be invoked from forked branches on any worker,
-/// so everything is atomic and idempotent.
+/// Rendezvous probe: one backend whose canonical sort takes a ticket from
+/// an atomic counter, flags that caller's arrival and waits (bounded) for
+/// the other caller's. Each pipeline calls backend_sort once, so the two
+/// tickets are the two pipelines. On the shared arena both sorts are in
+/// flight together, so both flags are up while both sorts run; a
+/// runtime-wide execution lock would make that impossible.
 struct RendezvousState {
-  std::atomic<bool> arrived_a{false}, arrived_b{false};
-  std::atomic<bool> saw_a{false}, saw_b{false};  // a saw b / b saw a
-  void reset() {
-    arrived_a = arrived_b = false;
-    saw_a = saw_b = false;
-  }
+  std::atomic<unsigned> tickets{0};
+  std::atomic<bool> arrived[2] = {false, false};
+  std::atomic<bool> saw[2] = {false, false};  // caller i saw caller 1 - i
 };
 RendezvousState& rv() {
   static RendezvousState s;
@@ -172,76 +169,67 @@ RendezvousState& rv() {
 
 class RendezvousBackend final : public SorterBackend {
  public:
-  explicit RendezvousBackend(bool is_a) : is_a_(is_a) {}
-  std::string_view name() const override { return is_a_ ? "rv_a" : "rv_b"; }
+  std::string_view name() const override { return "rendezvous"; }
   void sort(const slice<Elem>& a) const override {
-    touch();
+    RendezvousState& s = rv();
+    const unsigned me = s.tickets.fetch_add(1, std::memory_order_relaxed);
+    if (me < 2) {
+      s.arrived[me].store(true, std::memory_order_release);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(20);
+      while (std::chrono::steady_clock::now() < deadline) {
+        if (s.arrived[1 - me].load(std::memory_order_acquire)) {
+          s.saw[me].store(true, std::memory_order_release);
+          break;
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    }
     default_backend().sort(a);
   }
   void sort(const slice<Elem>& a, LessFn<Elem> less) const override {
-    touch();
     default_backend().sort(a, less);
   }
   void sort(const slice<obl::BinItem<Elem>>& a,
             LessFn<obl::BinItem<Elem>> less) const override {
-    touch();
     default_backend().sort(a, less);
   }
   void sort(const slice<obl::BinItem<core::Routed>>& a,
             LessFn<obl::BinItem<core::Routed>> less) const override {
-    touch();
     default_backend().sort(a, less);
   }
-
- private:
-  void touch() const {
-    RendezvousState& s = rv();
-    (is_a_ ? s.arrived_a : s.arrived_b).store(true,
-                                              std::memory_order_release);
-    std::atomic<bool>& other = is_a_ ? s.arrived_b : s.arrived_a;
-    std::atomic<bool>& saw = is_a_ ? s.saw_a : s.saw_b;
-    if (saw.load(std::memory_order_acquire)) return;
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(20);
-    while (std::chrono::steady_clock::now() < deadline) {
-      if (other.load(std::memory_order_acquire)) {
-        saw.store(true, std::memory_order_release);
-        return;
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-  }
-  bool is_a_;
 };
 
 TEST(SchedOverlap, ConcurrentPipelinesSortSimultaneously) {
-  register_backend("rv_a", [](const BackendConfig&) {
-    return std::make_shared<const RendezvousBackend>(true);
+  register_backend("rendezvous", [](const BackendConfig&) {
+    return std::make_shared<const RendezvousBackend>();
   });
-  register_backend("rv_b", [](const BackendConfig&) {
-    return std::make_shared<const RendezvousBackend>(false);
-  });
-  rv().reset();
-  auto rt = Runtime::builder().threads(4).seed(3).build();
-  auto run_sort = [&rt](const char* backend) {
+  auto rt =
+      Runtime::builder().threads(4).seed(3).backend("rendezvous").build();
+  auto run_sort = [&rt] {
     auto in = test::random_elems(512, 5);
     vec<Elem> v(in);
-    rt.sort(v.s(), SortOptions{.backend = backend});
+    rt.backend_sort(v.s());
     return test::sorted_by_key(v.underlying());
   };
-  auto fa = rt.submit([&] { return run_sort("rv_a"); });
-  auto fb = rt.submit([&] { return run_sort("rv_b"); });
+  auto fa = rt.submit(run_sort);
+  auto fb = rt.submit(run_sort);
   EXPECT_TRUE(fa.get());
   EXPECT_TRUE(fb.get());
-  EXPECT_TRUE(rv().saw_a.load())
-      << "pipeline A never observed pipeline B sorting concurrently";
-  EXPECT_TRUE(rv().saw_b.load())
-      << "pipeline B never observed pipeline A sorting concurrently";
+  EXPECT_EQ(rv().tickets.load(), 2u);
+  EXPECT_TRUE(rv().saw[0].load())
+      << "the first pipeline never observed the second sorting concurrently";
+  EXPECT_TRUE(rv().saw[1].load())
+      << "the second pipeline never observed the first sorting concurrently";
 }
 
 // ---- correctness under sustained contention ------------------------------
 
 TEST(SchedStress, ManyMixedPipelinesAndDirectCallsStayCorrect) {
+  // A second Runtime on another backend, called from rt's jobs (declared
+  // first so that it outlives them).
+  auto odd_even =
+      Runtime::builder().threads(2).seed(11).backend("odd_even").build();
   auto rt = Runtime::builder().threads(4).seed(11).build();
 
   // A small graph with a known answer for the CC/MSF pipelines.
@@ -274,7 +262,7 @@ TEST(SchedStress, ManyMixedPipelinesAndDirectCallsStayCorrect) {
         }
         auto in = test::random_elems(400 + static_cast<size_t>(k), k);
         vec<Elem> v(in);
-        rt.sort(v.s(), SortOptions{.backend = "odd_even"});
+        odd_even.sort(v.s());
         return total == msf_want && test::sorted_by_key(v.underlying());
       }));
     }

@@ -150,18 +150,6 @@ TEST(SortConformance, BackendSortMatchesStableSortOnEveryBackend) {
   }
 }
 
-TEST(SortConformance, PerCallOverrideMatchesBuilderSelection) {
-  // The per-call SortOptions route must produce output conforming to the
-  // same reference as builder-level selection.
-  auto rt = Runtime::builder().seed(9).build();
-  for (const std::string& backend : backend_names()) {
-    const std::vector<Elem> in = adversarial_inputs()[0].make(700);
-    vec<Elem> v(in);
-    rt.sort(v.s(), SortOptions{.backend = backend});
-    expect_matches_reference(v.underlying(), in, backend + "/per-call");
-  }
-}
-
 // ---- sort_records: the generic-record path ------------------------------
 
 struct Order {

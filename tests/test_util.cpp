@@ -27,8 +27,6 @@ TEST(Bits, Pow2Helpers) {
   EXPECT_EQ(util::pow2_ceil(9), 16u);
   EXPECT_EQ(util::pow2_ceil(16), 16u);
   EXPECT_EQ(util::pow2_floor(17), 16u);
-  EXPECT_EQ(util::pow2_round(12), 16u);  // tie rounds up
-  EXPECT_EQ(util::pow2_round(11), 8u);
   EXPECT_EQ(util::ceil_div(7, 3), 3u);
 }
 
