@@ -2,14 +2,17 @@
 // branchless move primitives (oswap / oselect) and the batch
 // compare-exchange API, for every compiled-in ISA, at the record sizes the
 // engines actually move: 8 B (packed keys), 16 B (the inline cutoff), 32 B
-// (obl::Elem), and 64 B (two Elems / a cache line).
+// (obl::Elem), 40 B (core::Routed, BinItem<Elem>), 48 B
+// (BinItem<Routed>), and 64 B (two Elems / a cache line).
 //
 // It also times the bitonic round runner natively (serial, dispatched
 // ISA): bitonic_sort of 16-byte apps::KeyVal records, which the runner
-// compares and swaps in one inline pass, and of 32-byte obl::Elem records,
-// which take the staged masks and the batched oswap (the control), at
-// n = 1024 and 4096; and one recorded bitonic merge plus its unreplay of
-// 4096 KeyVal records, the shape of apps::gather and apps::scatter_min.
+// compares and swaps in one inline pass, of 32-byte obl::Elem records,
+// which take the staged masks and the batched oswap (the control), and of
+// 48-byte BinItem<Routed> records by skey, the sort of every ORBA bin
+// placement, at n = 1024 and 4096; and one recorded bitonic merge plus its
+// unreplay of 4096 KeyVal records, the shape of apps::gather and
+// apps::scatter_min.
 //
 // Rows go to BENCH_oswap.json via the shared bench schema with the
 // microseconds in the `work` column (bench::record_wall). The section
@@ -28,6 +31,8 @@
 
 #include "apps/common.hpp"
 #include "bench_util.hpp"
+#include "core/routed.hpp"
+#include "obl/binitem.hpp"
 #include "obl/bitonic.hpp"
 #include "obl/elem.hpp"
 #include "obl/kernel/dispatch.hpp"
@@ -141,6 +146,19 @@ std::vector<T> net_input(size_t n) {
   return in;
 }
 
+/// Bin-placement sort records: duplicate-heavy bin keys (n / 4 distinct)
+/// over distinct routed elements.
+std::vector<obl::BinItem<core::Routed>> binitem_input(size_t n) {
+  util::Rng rng(n);
+  std::vector<obl::BinItem<core::Routed>> in(n);
+  for (size_t i = 0; i < n; ++i) {
+    in[i].skey = rng.below(1 + n / 4);
+    in[i].r.label = rng();
+    in[i].r.e.key = i;
+  }
+  return in;
+}
+
 void bench_round_runner() {
   const char* isa = obl::kernel::isa_name(obl::kernel::active_isa());
   const auto row = [&](const char* config, size_t n, double us) {
@@ -156,6 +174,11 @@ void bench_round_runner() {
         best_net(net_input<obl::Elem>(n), [](const slice<obl::Elem>& a) {
           obl::bitonic_sort(a, true, obl::ByKey{});
         }));
+    row("bitonic_sort_rec48", n,
+        best_net(binitem_input(n),
+                 [](const slice<obl::BinItem<core::Routed>>& a) {
+                   obl::bitonic_sort(a, true, obl::BinBySkey{});
+                 }));
   }
   // A bitonic merge input: ascending half, then descending half.
   const size_t n = 4096;
@@ -194,7 +217,8 @@ int main() {
     if (!obl::kernel::isa_supported(isa)) continue;
     obl::kernel::select_isa(isa);
     for (const auto& op : ops) {
-      for (size_t rec : {size_t{8}, size_t{16}, size_t{32}, size_t{64}}) {
+      for (size_t rec : {size_t{8}, size_t{16}, size_t{32}, size_t{40},
+                         size_t{48}, size_t{64}}) {
         const double us = best_of(kReps, op.run, rec);
         // Bytes moved per pass: both sides are read and written.
         const double gbs = us > 0 ? (2.0 * kBufBytes) / (us * 1e3) : 0.0;

@@ -62,13 +62,11 @@ class FullSortBackend final : public SorterBackend {
             LessFn<obl::Elem> less) const override {
     default_backend().sort(a, less);
   }
-  void sort(const slice<obl::BinItem<obl::Elem>>& a,
-            LessFn<obl::BinItem<obl::Elem>> less) const override {
-    default_backend().sort(a, less);
+  void sort(const slice<obl::BinItem<obl::Elem>>& a) const override {
+    default_backend().sort(a);
   }
-  void sort(const slice<obl::BinItem<core::Routed>>& a,
-            LessFn<obl::BinItem<core::Routed>> less) const override {
-    default_backend().sort(a, less);
+  void sort(const slice<obl::BinItem<core::Routed>>& a) const override {
+    default_backend().sort(a);
   }
 
  private:

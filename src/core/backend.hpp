@@ -22,14 +22,15 @@
 // instrumented schedules. The registry stays open: register_backend()
 // adds or replaces a named backend in one call.
 //
-// Interface shape: the primitives express every order either as the
-// canonical "Elem ascending by key" (which a full oblivious *sort* such as
-// osort or SPMS can realize directly) or as a comparison over one of a
-// closed set of fixed-size scratch records (realizable by any comparison
-// network; a sort-only backend falls back to its network for these — the
-// paper's composite primitives assume exactly "an O(1) number of AKS
-// sorts" there). Comparators are passed as stateless function pointers so
-// the virtual boundary stays type-safe without templating the interface.
+// Interface shape: the primitives express every order as one of three.
+// The canonical "Elem ascending by key" is the one a full oblivious *sort*
+// such as osort or SPMS can realize directly. The other two are realizable
+// by any comparison network, and a sort-only backend falls back to its
+// network for them (the paper's composite primitives assume exactly "an
+// O(1) number of AKS sorts" there): an Elem comparison passed as a
+// stateless function pointer, so the virtual boundary stays type-safe
+// without templating the interface, and bin placement's one fixed order,
+// BinItem records ascending by skey, which the network inlines.
 
 #include <cstdint>
 #include <functional>
@@ -83,15 +84,16 @@ class SorterBackend {
   /// backends run their comparator network. Any n is accepted.
   virtual void sort(const slice<obl::Elem>& a) const = 0;
 
-  /// Comparison sorts over the closed set of fixed-size records the
-  /// primitives use for orders that are not a single Elem key. Realized by
-  /// the backend's comparator network.
+  /// Comparison sort of Elem records under an order that is not a single
+  /// Elem key. Realized by the backend's comparator network.
   virtual void sort(const slice<obl::Elem>& a,
                     LessFn<obl::Elem> less) const = 0;
-  virtual void sort(const slice<obl::BinItem<obl::Elem>>& a,
-                    LessFn<obl::BinItem<obl::Elem>> less) const = 0;
-  virtual void sort(const slice<obl::BinItem<core::Routed>>& a,
-                    LessFn<obl::BinItem<core::Routed>> less) const = 0;
+
+  /// Bin placement's sorts (obl/binplace.hpp): BinItem records ascending
+  /// by skey (obl::BinBySkey). Realized by the backend's comparator
+  /// network.
+  virtual void sort(const slice<obl::BinItem<obl::Elem>>& a) const = 0;
+  virtual void sort(const slice<obl::BinItem<core::Routed>>& a) const = 0;
 };
 
 /// Backend built from a comparator-network policy (obl/sorter.hpp): every
@@ -133,13 +135,11 @@ class NetworkBackend final : public SorterBackend {
             LessFn<obl::Elem> less) const override {
     Net{}(a, less);
   }
-  void sort(const slice<obl::BinItem<obl::Elem>>& a,
-            LessFn<obl::BinItem<obl::Elem>> less) const override {
-    Net{}(a, less);
+  void sort(const slice<obl::BinItem<obl::Elem>>& a) const override {
+    Net{}(a, obl::BinBySkey{});
   }
-  void sort(const slice<obl::BinItem<core::Routed>>& a,
-            LessFn<obl::BinItem<core::Routed>> less) const override {
-    Net{}(a, less);
+  void sort(const slice<obl::BinItem<core::Routed>>& a) const override {
+    Net{}(a, obl::BinBySkey{});
   }
 
  private:

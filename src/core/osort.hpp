@@ -7,8 +7,9 @@
 // any comparison-based sort of the permuted array. osort's `spms` argument
 // picks that comparison phase:
 //   * empty (the default) — the paper's self-contained variant: pivot
-//     selection + REC-SORT + per-bin bitonic. Work O(n log n loglog n),
-//     span O(log^2 n loglog n), optimal cache — with small constants.
+//     selection + REC-SORT, whose base cases bitonic-sort gathered bins.
+//     Work O(n log n loglog n), span O(log^2 n loglog n), optimal cache —
+//     with small constants.
 //     Runtime::sort, sort_records and the "osort" backend run this.
 //   * an SpmsTuning — SPMS (Sample-Partition-Merge Sort, core/spms.hpp).
 //     Work O(n log n), cache O((n/B) log_M n), span polylog. The "spms"
@@ -22,13 +23,15 @@
 // Input of any length is accepted (power-of-two padding is internal).
 // Elem::extra is clobbered (it holds the permuted position used for
 // tie-breaking). Keys equal to the filler sentinel 2^64 - 1 and
-// filler-flagged records ARE accepted: ORP routes input fillers like any
-// record (real elements first, fillers trailing), and the comparison
-// phase orders by (key, permuted position), so sentinel-keyed records
-// sort after every smaller key with arbitrary relative order among
-// themselves. The composite primitives' sink conventions (send-receive
-// re-keys absorbed records to the sentinel; scratch arrays carry filler
-// padding) rely on exactly this, so it is contract, not accident.
+// filler-flagged records ARE accepted, at every n: ORP routes input
+// fillers like any record (real elements first, fillers trailing), and
+// the comparison phase orders by (key, permuted position), so
+// sentinel-keyed records sort after every smaller key with arbitrary
+// relative order among themselves. The padding REC-SORT adds of its own
+// (core::last_filler) orders after them. The composite primitives' sink
+// conventions (send-receive re-keys absorbed records to the sentinel;
+// scratch arrays carry filler padding) rely on exactly this, so it is
+// contract, not accident.
 //
 // The full sort is itself available as the "osort" and "spms" entries of
 // the sorter-backend registry (core/backend.cpp), which is how the

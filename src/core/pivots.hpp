@@ -36,6 +36,16 @@ struct LessKeyExtra {
   }
 };
 
+/// REC-SORT's own padding: a filler that orders after every record under
+/// LessKeyExtra, those keyed 2^64 - 1 included (a real record's extra is
+/// its permuted position, below 2^32 - 1). Elem::filler() has extra 0 and
+/// would order before them.
+inline obl::Elem last_filler() {
+  obl::Elem e = obl::Elem::filler();
+  e.extra = ~uint32_t{0};
+  return e;
+}
+
 struct PivotFailure : std::runtime_error {
   PivotFailure()
       : std::runtime_error("pivot selection: sample too small (re-seed)") {}
@@ -64,7 +74,7 @@ inline vec<obl::Elem> select_pivots(const slice<obl::Elem>& data, size_t r,
   if (count < 2 * r) throw PivotFailure{};
 
   const size_t padded = util::pow2_ceil(count);
-  vec<obl::Elem> samplev(padded, obl::Elem::filler());
+  vec<obl::Elem> samplev(padded, last_filler());
   const slice<obl::Elem> sample = samplev.s();
   fj::for_range(0, n, fj::kDefaultGrain, [&](size_t i) {
     if (fl[i]) sample[pos[i]] = data[i];

@@ -4,12 +4,22 @@
 //
 // Same gamma-way butterfly recursion as REC-ORBA, but elements are routed
 // by a precomputed sorted pivot array instead of random label bits: at the
-// base case a group of <= gamma bins is bitonic-sorted and split by the
-// pivots into its output bins; the recursive case sorts partitions by
-// coarse pivots (every beta1-th pivot), transposes the bin matrix, and
-// refines each row with its own pivot range. Afterwards every bin holds
-// exactly the elements of one inter-pivot range, in final bin order; one
-// bitonic pass per bin finishes the sort.
+// base case the live records of a group of <= gamma bins are gathered,
+// bitonic-sorted and split by the pivots into its output bins; the
+// recursive case sorts partitions by coarse pivots (every beta1-th
+// pivot), transposes the bin matrix, and refines each row with its own
+// pivot range. Afterwards every bin holds exactly the elements of one
+// inter-pivot range, in final bin order, and already sorted: a base case
+// writes each of its output bins as one contiguous slice of its sorted
+// buffer, and the transposes and copies after it move whole bins. So the
+// output is the concatenation of the bins' live prefixes, with no pass
+// over the bins after the recursion.
+//
+// A bin is a live prefix of count[b] records followed by slots that are
+// moved but never read. The padding REC-SORT sorts (the gathered records
+// and the pivot sample) is last_filler(), which orders after every record
+// under LessKeyExtra, so a real record keyed 2^64 - 1 still sorts among
+// the live records.
 //
 // Bins have variable load; capacity is twice the expected load and a
 // violation (probability exp(-Omega(bin size)), independent of the input
@@ -28,6 +38,7 @@
 #include "obl/bitonic_ca.hpp"
 #include "obl/elem.hpp"
 #include "obl/kernel/kernel.hpp"
+#include "obl/scan.hpp"
 #include "sim/tracked.hpp"
 #include "util/bits.hpp"
 #include "util/transpose.hpp"
@@ -58,28 +69,33 @@ inline size_t lb(const slice<Elem>& a, size_t n, const Elem& x,
   return lo;
 }
 
-/// State: nbins bins of capacity `cap`, slots beyond `count[b]` are
-/// fillers. `data` is the flat bin storage, `count` the per-bin loads.
+/// State: nbins bins of capacity `cap`, of which only the first `count[b]`
+/// slots hold records. `data` is the flat bin storage, `count` the per-bin
+/// loads.
 struct RsView {
   slice<Elem> data;
   slice<uint32_t> count;
   size_t cap;
 };
 
-/// Base case: gather <= gamma bins, bitonic sort, split by the nbins-1
-/// pivots into nbins output bins (written back into the same storage).
+/// Base case: gather the live records of <= gamma bins, bitonic sort them,
+/// split by the nbins-1 pivots into nbins output bins (written back into
+/// the same storage).
 inline void recsort_base(const RsView& v, size_t nbins,
                          const slice<Elem>& pivots) {
   const LessKeyExtra less{};
-  const size_t total = nbins * v.cap;
-  const size_t padded = util::pow2_ceil(total);
-  vec<Elem> tmpv(padded, Elem::filler());
+  // Bin b's live prefix lands at off[b], an exclusive prefix over the loads.
+  vec<uint64_t> offv(nbins);
+  const slice<uint64_t> off = offv.s();
+  const size_t live = obl::prefix_sum_exclusive(
+      v.count, off, [](const uint32_t& c) { return uint64_t{c}; });
+  vec<Elem> tmpv(util::pow2_ceil(live < 1 ? 1 : live), last_filler());
   const slice<Elem> tmp = tmpv.s();
-  obl::kernel::copy_range(tmp, 0, v.data, 0, total, obl::kernel::Tick::PerElem);
+  fj::for_range(0, nbins, 1, [&](size_t b) {
+    obl::kernel::copy_range(tmp, off[b], v.data, b * v.cap, v.count[b],
+                            obl::kernel::Tick::PerElem);
+  });
   obl::bitonic_sort_ca(tmp, /*up=*/true, less);
-
-  size_t live = 0;
-  for (size_t b = 0; b < nbins; ++b) live += v.count[b];
 
   // Segment boundaries: bin j receives [start[j], start[j+1]).
   vec<uint64_t> startv(nbins + 1);
@@ -96,13 +112,9 @@ inline void recsort_base(const RsView& v, size_t nbins,
     v.count[j] = static_cast<uint32_t>(len);
   }
   fj::for_range(0, nbins, 1, [&](size_t j) {
-    const size_t lo = start[j], len = start[j + 1] - start[j];
-    // Historically one serial loop: live prefix copied, tail refilled,
-    // one tick per slot either way.
-    obl::kernel::copy_range_serial(v.data, j * v.cap, tmp, lo, len,
+    obl::kernel::copy_range_serial(v.data, j * v.cap, tmp, start[j],
+                                   start[j + 1] - start[j],
                                    obl::kernel::Tick::PerElem);
-    obl::kernel::fill_range_serial(v.data, j * v.cap + len, v.cap - len,
-                                   Elem::filler(), obl::kernel::Tick::PerElem);
   });
 }
 
@@ -189,27 +201,23 @@ inline void rec_sort(const slice<obl::Elem>& a, uint64_t seed,
   // Initial bins: r bins of `bin` consecutive elements, capacity 2x.
   // Loads count only live elements (fillers are a suffix of `a`).
   const size_t cap = 2 * bin;
-  vec<Elem> datav(r * cap, Elem::filler());
+  vec<Elem> datav(r * cap);
   vec<uint32_t> countv(r);
   const slice<Elem> data = datav.s();
   const slice<uint32_t> count = countv.s();
   fj::for_range(0, r, 1, [&](size_t b) {
-    obl::kernel::copy_range_serial(data, b * cap, a, b * bin, bin,
-                                   obl::kernel::Tick::PerElem);
     const size_t lo = b * bin;
     const size_t live_here =
         live_total <= lo ? 0 : (live_total - lo < bin ? live_total - lo : bin);
+    obl::kernel::copy_range_serial(data, b * cap, a, lo, live_here,
+                                   obl::kernel::Tick::PerElem);
     count[b] = static_cast<uint32_t>(live_here);
   });
 
   detail::recsort_rec(detail::RsView{data, count, cap}, r, params.gamma,
                       pivots.s());
 
-  // Final touch: bitonic-sort each bin (fillers sink), then concatenate.
-  fj::for_range(0, r, 1, [&](size_t b) {
-    obl::bitonic_sort_ca(data.sub(b * cap, cap), /*up=*/true, less);
-  });
-
+  // Every bin's live prefix is sorted (header comment): concatenate them.
   // Prefix sums of loads give each bin's output offset.
   vec<uint64_t> offs(r);
   const slice<uint64_t> of = offs.s();

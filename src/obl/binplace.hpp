@@ -99,7 +99,7 @@ void bin_placement(const slice<R>& in, const slice<R>& out, size_t beta,
           it.skey = Item::kSinkKey;
         }
       });
-  if (ns > 1) sorter.sort(w.sub(0, ns), erase_less<Item>(BinBySkey{}));
+  if (ns > 1) sorter.sort(w.sub(0, ns));  // by skey (BinBySkey)
 
   // 2. Offset within bin via segmented scan of head positions.
   vec<detail::HeadSeg> segv(ns);

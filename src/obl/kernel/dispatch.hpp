@@ -84,7 +84,11 @@ inline void oselect_raw(void* dst, const void* t, const void* f, size_t bytes,
 
 /// Batch oswap: for i in [0, count), swap the `bytes`-byte records at
 /// a + i*stride and b + i*stride iff mask[i] != 0. The two record arrays
-/// must not overlap each other.
+/// must not overlap each other. The AVX2 kernel runs fixed-size paths for
+/// 8- and 16-byte records at stride == bytes and for 32-, 40- and 48-byte
+/// records (Elem, Routed and BinItem<Elem>, BinItem<Routed>) at any
+/// stride; every other shape, and every shape on the other ISAs, runs the
+/// generic loop.
 inline void oswap_batch_raw(unsigned char* a, unsigned char* b, size_t bytes,
                             size_t stride, const unsigned char* mask,
                             size_t count) {

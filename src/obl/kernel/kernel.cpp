@@ -7,6 +7,10 @@
 // that fit, then fall through to an 8-byte word loop and a final byte loop
 // — no implementation ever reads or writes past `bytes` on any operand.
 //
+// The AVX2 batch kernel also has fixed-size paths for the record shapes
+// the sort pipeline moves most: 8 and 16 bytes at a contiguous stride,
+// 32, 40 and 48 bytes at any stride. Other shapes take its generic loop.
+//
 // x86 AVX2 bodies are compiled with the `target` attribute so the library
 // builds (and falls back cleanly) under plain -march=x86-64; the CI matrix
 // exercises both that build and an explicit -mavx2 one.
@@ -203,24 +207,57 @@ __attribute__((target("avx2"))) void oselect_avx2(void* dst, const void* t,
   if (i < bytes) oselect_scalar(pd + i, pt + i, pf + i, bytes - i, cond);
 }
 
+// Batch swap of 32-, 40- or 48-byte records at any stride, so the round
+// runner's stride-2d batches get it as well as its contiguous ones: the
+// 32-byte Elem, the 40-byte Routed (ORP's per-bin label sorts) and
+// BinItem<Elem>, and the 48-byte BinItem<Routed> (ORBA's bin placements).
+// Each record is one 256-bit vector, then nothing (32 B), a 64-bit word
+// (40 B) or a 128-bit vector (48 B).
+template <size_t Bytes>
+__attribute__((target("avx2"))) inline void oswap_batch_avx2_fixed(
+    unsigned char* a, unsigned char* b, size_t stride,
+    const unsigned char* mask, size_t count) {
+  static_assert(Bytes == 32 || Bytes == 40 || Bytes == 48);
+  for (size_t i = 0; i < count; ++i) {
+    const uint64_t m = 0 - static_cast<uint64_t>(mask[i] != 0);
+    const __m256i vm = _mm256_set1_epi64x(static_cast<long long>(m));
+    unsigned char* pa = a + i * stride;
+    unsigned char* pb = b + i * stride;
+    const __m256i va = _mm256_loadu_si256(reinterpret_cast<__m256i*>(pa));
+    const __m256i vb = _mm256_loadu_si256(reinterpret_cast<__m256i*>(pb));
+    const __m256i t = _mm256_and_si256(_mm256_xor_si256(va, vb), vm);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(pa),
+                        _mm256_xor_si256(va, t));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(pb),
+                        _mm256_xor_si256(vb, t));
+    if constexpr (Bytes == 48) {
+      const __m128i vm128 = _mm256_castsi256_si128(vm);
+      const __m128i ta = _mm_loadu_si128(reinterpret_cast<__m128i*>(pa + 32));
+      const __m128i tb = _mm_loadu_si128(reinterpret_cast<__m128i*>(pb + 32));
+      const __m128i tt = _mm_and_si128(_mm_xor_si128(ta, tb), vm128);
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(pa + 32),
+                       _mm_xor_si128(ta, tt));
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(pb + 32),
+                       _mm_xor_si128(tb, tt));
+    } else if constexpr (Bytes == 40) {
+      oswap_words(pa + 32, pb + 32, 8, m);
+    }
+  }
+}
+
 __attribute__((target("avx2"))) void oswap_batch_avx2(
     unsigned char* a, unsigned char* b, size_t bytes, size_t stride,
     const unsigned char* mask, size_t count) {
-  if (bytes == 32 && stride == 32) {
-    // The Elem-sized hot case: one 256-bit vector per record.
-    for (size_t i = 0; i < count; ++i) {
-      const __m256i vm = _mm256_set1_epi8(
-          static_cast<char>(0 - static_cast<int>(mask[i] != 0)));
-      unsigned char* pa = a + i * 32;
-      unsigned char* pb = b + i * 32;
-      const __m256i va = _mm256_loadu_si256(reinterpret_cast<__m256i*>(pa));
-      const __m256i vb = _mm256_loadu_si256(reinterpret_cast<__m256i*>(pb));
-      const __m256i t = _mm256_and_si256(_mm256_xor_si256(va, vb), vm);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(pa),
-                          _mm256_xor_si256(va, t));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(pb),
-                          _mm256_xor_si256(vb, t));
-    }
+  if (bytes == 32) {
+    oswap_batch_avx2_fixed<32>(a, b, stride, mask, count);
+    return;
+  }
+  if (bytes == 40) {
+    oswap_batch_avx2_fixed<40>(a, b, stride, mask, count);
+    return;
+  }
+  if (bytes == 48) {
+    oswap_batch_avx2_fixed<48>(a, b, stride, mask, count);
     return;
   }
   if (bytes == 8 && stride == 8) {

@@ -248,15 +248,13 @@ class ProbeBackend final : public SorterBackend {
     probe_calls().fetch_add(1, std::memory_order_relaxed);
     default_backend().sort(a, less);
   }
-  void sort(const slice<obl::BinItem<Elem>>& a,
-            LessFn<obl::BinItem<Elem>> less) const override {
+  void sort(const slice<obl::BinItem<Elem>>& a) const override {
     probe_calls().fetch_add(1, std::memory_order_relaxed);
-    default_backend().sort(a, less);
+    default_backend().sort(a);
   }
-  void sort(const slice<obl::BinItem<core::Routed>>& a,
-            LessFn<obl::BinItem<core::Routed>> less) const override {
+  void sort(const slice<obl::BinItem<core::Routed>>& a) const override {
     probe_calls().fetch_add(1, std::memory_order_relaxed);
-    default_backend().sort(a, less);
+    default_backend().sort(a);
   }
 };
 

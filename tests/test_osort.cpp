@@ -1,6 +1,6 @@
 // Unit tests: the full oblivious sort (REC-SORT and both SPMS tunings as
-// its comparison phase), pivot selection and the insecure merge-sort
-// baseline.
+// its comparison phase), pivot selection, Runtime::sort on a thread pool
+// and the insecure merge-sort baseline.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/osort.hpp"
+#include "core/runtime.hpp"
 #include "insecure/mergesort.hpp"
 #include "sim/session.hpp"
 #include "testutil.hpp"
@@ -130,6 +131,43 @@ TEST(Osort, SpanIsPolylog) {
   // Quadrupling n must grow span far less than 4x.
   const double r = span_of(1 << 13) / span_of(1 << 11);
   EXPECT_LT(r, 2.6);
+}
+
+TEST(RuntimeSort, SentinelKeysSurviveRecSort) {
+  // Keys equal to the filler sentinel 2^64 - 1 are accepted (osort.hpp).
+  // At these sizes REC-SORT gathers its bins into one base case, and its
+  // bins, gather buffer and pivot sample are padded with fillers: the
+  // padding must order after the real sentinel-keyed records, or they come
+  // back as fillers or overflow a bin. A 4-thread Runtime forks REC-SORT's
+  // base case and ORBA's partitions on its pool.
+  constexpr uint64_t kSentinel = ~uint64_t{0};
+  auto rt = Runtime::builder().threads(4).seed(11).build();
+  for (const size_t n :
+       {size_t{1} << 14, (size_t{1} << 14) + 37, size_t{1} << 16}) {
+    SCOPED_TRACE(n);
+    util::Rng rng(n);
+    std::vector<Elem> in(n);
+    for (size_t i = 0; i < n; ++i) {
+      in[i].key = i % 7 == 0 ? kSentinel : rng.below(n);
+      in[i].payload = i;
+    }
+    vec<Elem> v(in);
+    rt.sort(v.s());
+    const std::vector<Elem>& out = v.underlying();
+    EXPECT_TRUE(test::sorted_by_key(out));
+    EXPECT_TRUE(std::none_of(out.begin(), out.end(),
+                             [](const Elem& e) { return e.is_filler(); }));
+    // Payloads are the input indices: equal multisets means each output
+    // record is an input one, each once, with its own key.
+    std::vector<uint64_t> payloads;
+    for (const Elem& e : out) {
+      payloads.push_back(e.payload);
+      ASSERT_LT(e.payload, n);
+      EXPECT_EQ(e.key, in[e.payload].key);
+    }
+    std::sort(payloads.begin(), payloads.end());
+    for (size_t i = 0; i < n; ++i) ASSERT_EQ(payloads[i], i);
+  }
 }
 
 TEST(OsortBackend, PluggableIntoElemSorts) {

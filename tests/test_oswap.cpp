@@ -98,12 +98,14 @@ TEST(OswapRaw, EveryIsaSelectMatchesReferenceAndSupportsAliasedDst) {
 }
 
 TEST(OswapRaw, BatchMatchesPerRecordReferenceAcrossStrides) {
-  // (bytes, stride) covers the AVX2 packed fast paths (8/8, 16/16, 32/32),
-  // a strided layout (8 within 24), and an odd record size (40/40 = the
-  // BinItem<Elem> shape, 33/33 tail case).
-  const std::pair<size_t, size_t> shapes[] = {{8, 8},   {16, 16}, {32, 32},
-                                              {8, 24},  {40, 40}, {33, 33},
-                                              {64, 64}, {5, 12}};
+  // (bytes, stride) covers the AVX2 packed fast paths (8/8, 16/16), its
+  // 32-, 40- and 48-byte paths in the round runner's contiguous batches
+  // (32/32 = Elem, 40/40 = Routed and BinItem<Elem>, 48/48 =
+  // BinItem<Routed>) and stride-2d batches (32/64, 40/80, 48/96), a
+  // strided layout (8 within 24), and odd record sizes (33/33 tail case).
+  const std::pair<size_t, size_t> shapes[] = {
+      {8, 8},   {16, 16}, {32, 32}, {8, 24},  {40, 40}, {48, 48}, {32, 64},
+      {40, 80}, {48, 96}, {33, 33}, {64, 64}, {5, 12}};
   for (Isa isa : supported_isas()) {
     ScopedIsa guard(isa);
     for (auto [bytes, stride] : shapes) {

@@ -190,13 +190,11 @@ class RendezvousBackend final : public SorterBackend {
   void sort(const slice<Elem>& a, LessFn<Elem> less) const override {
     default_backend().sort(a, less);
   }
-  void sort(const slice<obl::BinItem<Elem>>& a,
-            LessFn<obl::BinItem<Elem>> less) const override {
-    default_backend().sort(a, less);
+  void sort(const slice<obl::BinItem<Elem>>& a) const override {
+    default_backend().sort(a);
   }
-  void sort(const slice<obl::BinItem<core::Routed>>& a,
-            LessFn<obl::BinItem<core::Routed>> less) const override {
-    default_backend().sort(a, less);
+  void sort(const slice<obl::BinItem<core::Routed>>& a) const override {
+    default_backend().sort(a);
   }
 };
 
