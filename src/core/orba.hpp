@@ -13,6 +13,9 @@
 //     log2(beta2) bits; transpose the beta1 x beta2 matrix of bins so bins
 //     with equal high bits meet; recursively distribute each row on the
 //     remaining log2(beta1) bits.
+// The recursion runs on two buffers of beta*Z records that ping-pong:
+// every phase writes the other buffer, so no node allocates scratch or
+// copies its result back (rec_orba's `src` is clobbered).
 // Costs (Lemma 3.1): O(n log n) work, O(log n loglog n) span, and
 // cache-agnostic O((n/B) log_M n) misses.
 //
@@ -23,6 +26,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <utility>
 
 #include "core/backend.hpp"
 #include "core/params.hpp"
@@ -39,24 +43,22 @@ namespace dopar::core {
 
 namespace detail {
 
-/// Distribute `data` (= nbins bins of Z records) into nbins output bins
+/// Distribute `src` (= nbins bins of Z records) into nbins bins of `dst`
 /// according to label bits [bit_lo, bit_lo + log2 nbins) counted from the
-/// most significant of `total_bits`.
-inline void rec_orba(const slice<Routed>& data, size_t nbins, size_t Z,
-                     size_t gamma, unsigned bit_lo, unsigned total_bits,
-                     const SorterBackend& sorter) {
+/// most significant of `total_bits`. The two buffers ping-pong: phase 1
+/// writes src -> dst, the transpose dst -> src, phase 2 src -> dst, so no
+/// recursion node allocates scratch or copies back. `src` is clobbered.
+inline void rec_orba(const slice<Routed>& src, const slice<Routed>& dst,
+                     size_t nbins, size_t Z, size_t gamma, unsigned bit_lo,
+                     unsigned total_bits, const SorterBackend& sorter) {
   const unsigned bits_here = util::log2_exact(nbins);
   if (nbins <= gamma) {
     const unsigned drop = total_bits - bit_lo - bits_here;
     const uint64_t mask = nbins - 1;
-    vec<Routed> outv(nbins * Z);
     obl::bin_placement<Routed>(
-        data, outv.s(), nbins, Z,
+        src, dst, nbins, Z,
         [drop, mask](const Routed& r) { return (r.label >> drop) & mask; },
         sorter);
-    const slice<Routed> out = outv.s();
-    fj::for_range(0, nbins * Z, fj::kDefaultGrain,
-                  [&](size_t i) { data[i] = out[i]; });
     return;
   }
 
@@ -67,25 +69,22 @@ inline void rec_orba(const slice<Routed>& data, size_t nbins, size_t Z,
   // Phase 1: each of the beta1 partitions (beta2 consecutive bins)
   // distributes on the high log2(beta2) bits.
   fj::for_range(0, beta1, 1, [&](size_t j) {
-    rec_orba(data.sub(j * beta2 * Z, beta2 * Z), beta2, Z, gamma, bit_lo,
+    rec_orba(src.sub(j * beta2 * Z, beta2 * Z),
+             dst.sub(j * beta2 * Z, beta2 * Z), beta2, Z, gamma, bit_lo,
              total_bits, sorter);
   });
 
   // Transpose the beta1 x beta2 matrix of bins: bins with equal high bits
   // become consecutive.
-  vec<Routed> scratchv(nbins * Z);
-  const slice<Routed> scratch = scratchv.s();
-  util::transpose_blocks(data, scratch, beta1, beta2, Z);
+  util::transpose_blocks(dst, src, beta1, beta2, Z);
 
   // Phase 2: each row of beta1 bins distributes on the low log2(beta1)
   // bits; the concatenation of rows is the final bin order.
   fj::for_range(0, beta2, 1, [&](size_t i) {
-    rec_orba(scratch.sub(i * beta1 * Z, beta1 * Z), beta1, Z, gamma,
+    rec_orba(src.sub(i * beta1 * Z, beta1 * Z),
+             dst.sub(i * beta1 * Z, beta1 * Z), beta1, Z, gamma,
              bit_lo + bits2, total_bits, sorter);
   });
-
-  fj::for_range(0, nbins * Z, fj::kDefaultGrain,
-                [&](size_t i) { data[i] = scratch[i]; });
 }
 
 }  // namespace detail
@@ -114,14 +113,10 @@ inline OrbaOutput orba(const slice<obl::Elem>& in, uint64_t seed,
   assert(util::is_pow2(Z) && util::is_pow2(beta) && beta >= 1);
   const unsigned label_bits = beta == 1 ? 1 : util::log2_exact(beta);
 
-  OrbaOutput out;
-  out.beta = beta;
-  out.Z = Z;
-  out.bins = vec<Routed>(beta * Z);
-  const slice<Routed> work = out.bins.s();
-
   // Initial layout: bin b holds the Z/2 inputs in[b*Z/2 .. (b+1)*Z/2) plus
   // Z/2 fillers; every real element draws a uniform label.
+  vec<Routed> initv(beta * Z);
+  const slice<Routed> init = initv.s();
   fj::for_range(0, beta * Z, fj::kDefaultGrain, [&](size_t i) {
     sim::tick(1);
     const size_t b = i / Z;
@@ -135,11 +130,18 @@ inline OrbaOutput orba(const slice<obl::Elem>& in, uint64_t seed,
     } else {
       r = Routed::filler();
     }
-    work[i] = r;
+    init[i] = r;
   });
 
-  if (beta > 1) {
-    rec_orba(work, beta, Z, params.gamma, 0, label_bits, sorter);
+  OrbaOutput out;
+  out.beta = beta;
+  out.Z = Z;
+  if (beta == 1) {
+    out.bins = std::move(initv);
+  } else {
+    out.bins = vec<Routed>(beta * Z);
+    rec_orba(init, out.bins.s(), beta, Z, params.gamma, 0, label_bits,
+             sorter);
   }
   return out;
 }

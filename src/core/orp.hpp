@@ -4,9 +4,12 @@
 // ORBA followed by: (1) assigning each slot a fresh 64-bit random label,
 // (2) obliviously sorting *within each bin* by that label (fillers get the
 // max label and sink to the end of their bin), and (3) removing fillers
-// with a non-oblivious prefix-sum compaction. Asharov et al. / Chan et al.
-// prove the final bin loads are simulatable from |I| alone, so the reveal
-// in step (3) is safe; steps (1)–(2) have fixed access patterns.
+// with a non-oblivious prefix-sum compaction: one exclusive prefix sum
+// over the bins' live flags gives every real element its output slot, and
+// one scatter writes it straight into the caller's buffer. Asharov et al.
+// / Chan et al. prove the final bin loads are simulatable from |I| alone,
+// so the reveal in step (3) is safe; steps (1)–(2) have fixed access
+// patterns.
 //
 // Label collisions would bias the permutation; with 64-bit labels inside
 // bins of Z <= 2^20 the collision probability is <= Z^2/2^64 per bin —
@@ -26,7 +29,7 @@
 #include "core/params.hpp"
 #include "forkjoin/api.hpp"
 #include "obl/bitonic_ca.hpp"
-#include "obl/compact.hpp"
+#include "obl/kernel/kernel.hpp"
 #include "obl/scan.hpp"
 #include "sim/tracked.hpp"
 #include "util/rng.hpp"
@@ -48,20 +51,15 @@ struct ByLabel {
   }
 };
 
-/// One ORP attempt. Returns the permuted elements in `out` (|out| = |in|).
-/// Throws obl::BinOverflow on bin overflow; retries are orchestrated by
-/// orp() below.
+/// One ORP attempt over the power-of-two padded `in`: writes the first
+/// |out| permuted records (real elements first, fillers after) straight
+/// into `out`, which must hold every real element of `in` and be no
+/// longer than `in`. Throws obl::BinOverflow on bin overflow; retries are
+/// orchestrated by orp() below.
 inline void orp_attempt(const slice<obl::Elem>& in,
                         const slice<obl::Elem>& out, uint64_t seed,
                         const SortParams& params,
                         const SorterBackend& sorter = default_backend()) {
-  const size_t n = in.size();
-  assert(out.size() == n);
-  if (n <= 1) {
-    if (n == 1) out[0] = in[0];
-    return;
-  }
-
   OrbaOutput bins = detail::orba(in, seed, params, sorter);
   const slice<Routed> w = bins.bins.s();
   const size_t total = bins.beta * bins.Z;
@@ -95,18 +93,23 @@ inline void orp_attempt(const slice<obl::Elem>& in,
   });
   if (obl::reduce_sum(cl) != 0) throw obl::BinOverflow{};
 
-  // Reveal loads: compact the real elements to the front (prefix sums).
-  // Input fillers (power-of-two padding) were dropped by ORBA and are
-  // re-materialized here as the output suffix.
+  // Reveal loads: scatter the real elements, in bin order, to the front of
+  // `out` at their prefix-sum positions. Input fillers (power-of-two
+  // padding) were dropped by ORBA and are re-materialized as the suffix.
   size_t real_inputs = 0;
-  for (size_t i = 0; i < n; ++i) real_inputs += !in.raw(i).is_filler();
-  vec<obl::Elem> flatv(total);
-  const slice<obl::Elem> flat = flatv.s();
-  fj::for_range(0, total, fj::kDefaultGrain,
-                [&](size_t i) { flat[i] = w[i].e; });
-  const size_t live = obl::compact_reveal(flat);
+  for (size_t i = 0; i < in.size(); ++i) real_inputs += !in.raw(i).is_filler();
+  assert(real_inputs <= out.size() && out.size() <= in.size());
+  vec<uint64_t> posv(total);
+  const slice<uint64_t> pos = posv.s();
+  const uint64_t live = obl::prefix_sum_exclusive(
+      w, pos, [](const Routed& r) { return r.e.is_filler() ? 0u : 1u; });
   if (live != real_inputs) throw obl::BinOverflow{};  // impossible post-ORBA
-  fj::for_range(0, n, fj::kDefaultGrain, [&](size_t i) { out[i] = flat[i]; });
+  fj::for_range(0, total, fj::kDefaultGrain, [&](size_t i) {
+    const Routed r = w[i];
+    if (!r.e.is_filler()) out[pos[i]] = r.e;  // data-dependent: allowed here
+  });
+  obl::kernel::fill_range(out, live, out.size() - live, obl::Elem::filler(),
+                          obl::kernel::Tick::None);
 }
 
 /// Engine behind Runtime::permute: obliviously permute `in` into `out`
@@ -117,20 +120,18 @@ inline void orp(const slice<obl::Elem>& in, const slice<obl::Elem>& out,
                 const SorterBackend& sorter = default_backend()) {
   using obl::Elem;
   const size_t n = in.size();
+  assert(out.size() == n);
   const size_t padded = util::pow2_ceil(n < 2 ? 2 : n);
   if (params.Z == 0) params = SortParams::auto_for(padded);
 
   vec<Elem> pin(padded, Elem::filler());
-  vec<Elem> pout(padded);
   const slice<Elem> pi = pin.s();
   fj::for_range(0, n, fj::kDefaultGrain, [&](size_t i) { pi[i] = in[i]; });
 
   for (int attempt = 0; attempt < params.max_retries; ++attempt) {
     try {
-      orp_attempt(pi, pout.s(), util::hash_rand(seed, 7'000 + attempt),
-                  params, sorter);
-      fj::for_range(0, n, fj::kDefaultGrain,
-                    [&](size_t i) { out[i] = pout.s()[i]; });
+      orp_attempt(pi, out, util::hash_rand(seed, 7'000 + attempt), params,
+                  sorter);
       return;
     } catch (const obl::BinOverflow&) {
       continue;  // input-independent event; fresh randomness

@@ -71,13 +71,11 @@ inline void osort(const slice<obl::Elem>& a, uint64_t seed,
   if (params.Z == 0) params = SortParams::auto_for(padded);
 
   for (int attempt = 0;; ++attempt) {
-    vec<Elem> workv(padded, Elem::filler());
-    const slice<Elem> work = workv.s();
-    obl::kernel::copy_range(work, 0, a, 0, n, Tick::PerElem);
-
-    vec<Elem> permv(padded);
+    // ORP pads to `padded` itself and writes the n permuted slots; the
+    // tail stays filler, which is exactly what the padding would hold.
+    vec<Elem> permv(padded, Elem::filler());
     const slice<Elem> perm = permv.s();
-    detail::orp(work, perm, util::hash_rand(seed, 31 + attempt), params,
+    detail::orp(a, perm.first(n), util::hash_rand(seed, 31 + attempt), params,
                 sorter);
 
     // Permuted position -> Elem::extra: the tie-break that makes

@@ -11,9 +11,11 @@
 // pivot range. Afterwards every bin holds exactly the elements of one
 // inter-pivot range, in final bin order, and already sorted: a base case
 // writes each of its output bins as one contiguous slice of its sorted
-// buffer, and the transposes and copies after it move whole bins. So the
-// output is the concatenation of the bins' live prefixes, with no pass
-// over the bins after the recursion.
+// buffer, and the transposes after it move whole bins. So the output is
+// the concatenation of the bins' live prefixes, with no pass over the bins
+// after the recursion. Like REC-ORBA, the recursion ping-pongs between two
+// sets of bins (recsort_rec's `src` is clobbered): no node allocates bin
+// scratch or copies its result back.
 //
 // A bin is a live prefix of count[b] records followed by slots that are
 // moved but never read. The padding REC-SORT sorts (the gathered records
@@ -76,23 +78,28 @@ struct RsView {
   slice<Elem> data;
   slice<uint32_t> count;
   size_t cap;
+
+  /// The k bins starting at bin b.
+  RsView bins(size_t b, size_t k) const {
+    return RsView{data.sub(b * cap, k * cap), count.sub(b, k), cap};
+  }
 };
 
-/// Base case: gather the live records of <= gamma bins, bitonic sort them,
-/// split by the nbins-1 pivots into nbins output bins (written back into
-/// the same storage).
-inline void recsort_base(const RsView& v, size_t nbins,
+/// Base case: gather the live records of the <= gamma bins of `src`,
+/// bitonic sort them, split by the nbins-1 pivots into the nbins bins of
+/// `dst`.
+inline void recsort_base(const RsView& src, const RsView& dst, size_t nbins,
                          const slice<Elem>& pivots) {
   const LessKeyExtra less{};
   // Bin b's live prefix lands at off[b], an exclusive prefix over the loads.
   vec<uint64_t> offv(nbins);
   const slice<uint64_t> off = offv.s();
   const size_t live = obl::prefix_sum_exclusive(
-      v.count, off, [](const uint32_t& c) { return uint64_t{c}; });
+      src.count, off, [](const uint32_t& c) { return uint64_t{c}; });
   vec<Elem> tmpv(util::pow2_ceil(live < 1 ? 1 : live), last_filler());
   const slice<Elem> tmp = tmpv.s();
   fj::for_range(0, nbins, 1, [&](size_t b) {
-    obl::kernel::copy_range(tmp, off[b], v.data, b * v.cap, v.count[b],
+    obl::kernel::copy_range(tmp, off[b], src.data, b * src.cap, src.count[b],
                             obl::kernel::Tick::PerElem);
   });
   obl::bitonic_sort_ca(tmp, /*up=*/true, less);
@@ -108,21 +115,25 @@ inline void recsort_base(const RsView& v, size_t nbins,
 
   for (size_t j = 0; j < nbins; ++j) {
     const size_t len = start[j + 1] - start[j];
-    if (len > v.cap) throw RecsortOverflow{};
-    v.count[j] = static_cast<uint32_t>(len);
+    if (len > dst.cap) throw RecsortOverflow{};
+    dst.count[j] = static_cast<uint32_t>(len);
   }
   fj::for_range(0, nbins, 1, [&](size_t j) {
-    obl::kernel::copy_range_serial(v.data, j * v.cap, tmp, start[j],
+    obl::kernel::copy_range_serial(dst.data, j * dst.cap, tmp, start[j],
                                    start[j + 1] - start[j],
                                    obl::kernel::Tick::PerElem);
   });
 }
 
-inline void recsort_rec(const RsView& v, size_t nbins, size_t gamma,
-                        const slice<Elem>& pivots) {
+/// Route the bins of `src` into the bins of `dst` by the nbins-1 sorted
+/// pivots. The two views ping-pong like REC-ORBA's buffers: phase 1
+/// writes src -> dst, the transpose dst -> src, phase 2 src -> dst, so no
+/// node allocates bin scratch or copies back. `src` is clobbered.
+inline void recsort_rec(const RsView& src, const RsView& dst, size_t nbins,
+                        size_t gamma, const slice<Elem>& pivots) {
   assert(pivots.size() == nbins - 1);
   if (nbins <= gamma) {
-    recsort_base(v, nbins, pivots);
+    recsort_base(src, dst, nbins, pivots);
     return;
   }
   const unsigned bits = util::log2_exact(nbins);
@@ -139,33 +150,22 @@ inline void recsort_rec(const RsView& v, size_t nbins, size_t gamma,
   // Phase 1: each partition of beta2 consecutive bins splits into the
   // beta2 coarse ranges.
   fj::for_range(0, beta1, 1, [&](size_t j) {
-    RsView sub{v.data.sub(j * beta2 * v.cap, beta2 * v.cap),
-               v.count.sub(j * beta2, beta2), v.cap};
-    recsort_rec(sub, beta2, gamma, coarse);
+    recsort_rec(src.bins(j * beta2, beta2), dst.bins(j * beta2, beta2), beta2,
+                gamma, coarse);
   });
 
   // Transpose bins (and their load counters): row d of the transposed
   // matrix holds, from every partition, the bin destined for coarse range
   // d — i.e. one phase-2 subproblem.
-  vec<Elem> dscratchv(nbins * v.cap);
-  vec<uint32_t> cscratchv(nbins);
-  const slice<Elem> dscratch = dscratchv.s();
-  const slice<uint32_t> cscratch = cscratchv.s();
-  util::transpose_blocks(v.data, dscratch, beta1, beta2, v.cap);
-  util::transpose_blocks(v.count, cscratch, beta1, beta2, size_t{1});
+  util::transpose_blocks(dst.data, src.data, beta1, beta2, src.cap);
+  util::transpose_blocks(dst.count, src.count, beta1, beta2, size_t{1});
 
   // Phase 2: refine each row with its own pivot range
   // pivots[d*beta1 .. d*beta1 + beta1 - 2].
   fj::for_range(0, beta2, 1, [&](size_t d) {
-    RsView sub{dscratch.sub(d * beta1 * v.cap, beta1 * v.cap),
-               cscratch.sub(d * beta1, beta1), v.cap};
-    recsort_rec(sub, beta1, gamma, pivots.sub(d * beta1, beta1 - 1));
+    recsort_rec(src.bins(d * beta1, beta1), dst.bins(d * beta1, beta1), beta1,
+                gamma, pivots.sub(d * beta1, beta1 - 1));
   });
-
-  obl::kernel::copy_range(v.data, 0, dscratch, 0, nbins * v.cap,
-                          obl::kernel::Tick::PerElem);
-  obl::kernel::copy_range(v.count, 0, cscratch, 0, nbins,
-                          obl::kernel::Tick::None);
 }
 
 }  // namespace detail
@@ -199,10 +199,11 @@ inline void rec_sort(const slice<obl::Elem>& a, uint64_t seed,
   vec<Elem> pivots = select_pivots(a.first(live_total), r, seed);
 
   // Initial bins: r bins of `bin` consecutive elements, capacity 2x.
-  // Loads count only live elements (fillers are a suffix of `a`).
+  // Loads count only live elements (fillers are a suffix of `a`). REC-SORT
+  // routes them into the second set of r bins.
   const size_t cap = 2 * bin;
-  vec<Elem> datav(r * cap);
-  vec<uint32_t> countv(r);
+  vec<Elem> datav(r * cap), outv(r * cap);
+  vec<uint32_t> countv(r), outcv(r);
   const slice<Elem> data = datav.s();
   const slice<uint32_t> count = countv.s();
   fj::for_range(0, r, 1, [&](size_t b) {
@@ -214,7 +215,8 @@ inline void rec_sort(const slice<obl::Elem>& a, uint64_t seed,
     count[b] = static_cast<uint32_t>(live_here);
   });
 
-  detail::recsort_rec(detail::RsView{data, count, cap}, r, params.gamma,
+  const detail::RsView out{outv.s(), outcv.s(), cap};
+  detail::recsort_rec(detail::RsView{data, count, cap}, out, r, params.gamma,
                       pivots.s());
 
   // Every bin's live prefix is sorted (header comment): concatenate them.
@@ -222,11 +224,11 @@ inline void rec_sort(const slice<obl::Elem>& a, uint64_t seed,
   vec<uint64_t> offs(r);
   const slice<uint64_t> of = offs.s();
   const uint64_t total = obl::prefix_sum_exclusive(
-      count, of, [](const uint32_t& c) { return uint64_t{c}; });
+      out.count, of, [](const uint32_t& c) { return uint64_t{c}; });
   if (total != live_total) throw RecsortOverflow{};  // lost elements
   fj::for_range(0, r, 1, [&](size_t b) {
-    const size_t base = of[b], cnt = count[b];
-    obl::kernel::copy_range_serial(a, base, data, b * cap, cnt,
+    const size_t base = of[b], cnt = out.count[b];
+    obl::kernel::copy_range_serial(a, base, out.data, b * cap, cnt,
                                    obl::kernel::Tick::PerElem);
   });
   obl::kernel::fill_range(a, live_total, n - live_total, Elem::filler(),

@@ -248,8 +248,12 @@ class Runtime {
     with_env([&] { backend_->sort(a); });
   }
 
-  /// Obliviously permute `in` into `out` uniformly at random (ORP).
+  /// Obliviously permute `in` into `out` uniformly at random (ORP). |out|
+  /// must equal |in| (std::invalid_argument otherwise).
   void permute(const slice<obl::Elem>& in, const slice<obl::Elem>& out) {
+    if (out.size() != in.size()) {
+      throw std::invalid_argument("permute: |out| must equal |in|");
+    }
     const uint64_t s = fresh_seed();
     obs::Span span("rt.permute", "n", in.size());
     with_env([&] { core::detail::orp(in, out, s, params_, *backend_); });

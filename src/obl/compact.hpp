@@ -1,22 +1,18 @@
 #pragma once
 // Compaction: separating live elements from fillers.
 //
-// Two flavors, matching the two situations in the paper:
-//  * compact_oblivious — stable, data-oblivious: realized with one
-//    oblivious sort on (is_filler, rank). Used wherever the number/positions
-//    of fillers must stay hidden.
-//  * compact_reveal — NON-oblivious prefix-sum compaction, O(n) work and
-//    O(log n) span, that reveals which slots were fillers. The paper uses
-//    this exact step at the end of ORP (Section C.3): the final bin loads
-//    are proven simulatable from |I| alone, so revealing them is safe.
+// compact_oblivious is the stable, data-oblivious flavor, realized with
+// one oblivious sort on (is_filler, rank). It is used wherever the
+// number/positions of fillers must stay hidden. The paper's other flavor,
+// the non-oblivious prefix-sum compaction that ends ORP (Section C.3),
+// lives inside core::detail::orp_attempt, which scatters the live records
+// straight into its output.
 
 #include <cstdint>
 
 #include "core/backend.hpp"
-#include "forkjoin/api.hpp"
 #include "obl/elem.hpp"
 #include "obl/kernel/kernel.hpp"
-#include "obl/scan.hpp"
 #include "sim/tracked.hpp"
 
 namespace dopar::obl {
@@ -40,25 +36,6 @@ inline void compact_oblivious(const slice<Elem>& a,
     }
   };
   sorter.sort(a, erase_less<Elem>(Less{}));
-}
-
-/// Non-oblivious stable compaction; returns the live count. Output: first
-/// `live` slots hold the live elements in order, the rest are fillers.
-inline size_t compact_reveal(const slice<Elem>& a) {
-  const size_t n = a.size();
-  if (n == 0) return 0;
-  vec<uint64_t> pos(n);
-  const uint64_t live = prefix_sum_exclusive(
-      a, pos.s(), [](const Elem& e) { return e.is_filler() ? 0u : 1u; });
-  vec<Elem> out(n, Elem::filler());
-  const slice<Elem> o = out.s();
-  const slice<uint64_t> p = pos.s();
-  fj::for_range(0, n, fj::kDefaultGrain, [&](size_t i) {
-    const Elem e = a[i];
-    if (!e.is_filler()) o[p[i]] = e;  // data-dependent: allowed here
-  });
-  kernel::copy_range(a, 0, o, 0, n, kernel::Tick::None);
-  return static_cast<size_t>(live);
 }
 
 }  // namespace dopar::obl

@@ -191,26 +191,22 @@ void scan_inclusive_reverse(const slice<T>& a, const Combine& comb) {
 /// Exclusive prefix sums of uint64 values extracted from a user array,
 /// returning the total; out[i] = sum of get(a[j]) for j < i. A building
 /// block for (non-oblivious-output) compaction and index assignment; the
-/// access pattern is still fixed.
+/// access pattern is still fixed. One inclusive scan over the values
+/// shifted right by one slot, so no scratch buffer.
 template <class T, class Get>
 uint64_t prefix_sum_exclusive(const slice<T>& a, const slice<uint64_t>& out,
                               const Get& get) {
   const size_t n = a.size();
   assert(out.size() == n);
   if (n == 0) return 0;
-  fj::for_range(0, n, fj::kDefaultGrain,
-                [&](size_t i) { out[i] = get(a[i]); });
+  fj::for_range(0, n, fj::kDefaultGrain, [&](size_t i) {
+    out[i] = i == 0 ? 0 : get(a[i - 1]);
+  });
   struct Add {
     uint64_t operator()(uint64_t x, uint64_t y) const { return x + y; }
   };
   scan_inclusive(out, Add{});
-  const uint64_t total = out[n - 1];
-  // Shift right by one (through a scratch buffer) to make it exclusive.
-  vec<uint64_t> tmp(n);
-  fj::for_range(0, n, fj::kDefaultGrain, [&](size_t i) { tmp[i] = out[i]; });
-  fj::for_range(0, n, fj::kDefaultGrain,
-                [&](size_t i) { out[i] = i == 0 ? 0 : tmp[i - 1]; });
-  return total;
+  return out[n - 1] + get(a[n - 1]);
 }
 
 }  // namespace dopar::obl

@@ -210,12 +210,12 @@ TEST(SorterConsistency, LayerwiseBitonicSortsAndIsOblivious) {
 
 // ---------- Compaction round-trips -----------------------------------------
 
-TEST(CompactionProperty, ObliviousThenRevealIsIdempotent) {
+TEST(CompactionProperty, ObliviousKeepsAStableLivePrefix) {
   for (uint64_t seed = 0; seed < 5; ++seed) {
     constexpr size_t n = 256;
     util::Rng rng(seed);
     vec<Elem> v(n);
-    size_t live_expected = 0;
+    std::vector<uint64_t> live_payloads;
     for (size_t i = 0; i < n; ++i) {
       v.underlying()[i].key = i;
       v.underlying()[i].payload = i;
@@ -223,16 +223,17 @@ TEST(CompactionProperty, ObliviousThenRevealIsIdempotent) {
         v.underlying()[i].flags = Elem::kFiller;
         v.underlying()[i].key = ~uint64_t{0};
       } else {
-        ++live_expected;
+        live_payloads.push_back(i);
       }
     }
     obl::compact_oblivious(v.s());
-    const size_t live = obl::compact_reveal(v.s());
-    EXPECT_EQ(live, live_expected);
-    uint64_t prev = 0;
+    const size_t live = live_payloads.size();
     for (size_t i = 0; i < live; ++i) {
-      EXPECT_GE(v.underlying()[i].payload, prev);  // stability preserved
-      prev = v.underlying()[i].payload;
+      EXPECT_FALSE(v.underlying()[i].is_filler());
+      EXPECT_EQ(v.underlying()[i].payload, live_payloads[i]);  // stable
+    }
+    for (size_t i = live; i < n; ++i) {
+      EXPECT_TRUE(v.underlying()[i].is_filler());
     }
   }
 }

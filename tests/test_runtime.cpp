@@ -261,6 +261,22 @@ TEST(RuntimeContract, GatherAndScatterRejectSizeMismatch) {
   EXPECT_EQ(out.s()[0], 0u);
 }
 
+// A short `out` used to be written past its end in Release builds.
+TEST(RuntimeContract, PermuteRejectsSizeMismatch) {
+  auto rt = Runtime::builder().seed(2).build();
+  vec<obl::Elem> in(8), out_short(7), out_long(9);
+  EXPECT_THROW(rt.permute(in.s(), out_short.s()), std::invalid_argument);
+  EXPECT_THROW(rt.permute(in.s(), out_long.s()), std::invalid_argument);
+  // Matching sizes run: the output is a permutation of the payloads.
+  for (size_t i = 0; i < 8; ++i) in.s()[i].payload = i;
+  vec<obl::Elem> out(8);
+  rt.permute(in.s(), out.s());
+  std::vector<uint64_t> got;
+  for (size_t i = 0; i < 8; ++i) got.push_back(out.s()[i].payload);
+  std::sort(got.begin(), got.end());
+  for (size_t i = 0; i < 8; ++i) EXPECT_EQ(got[i], i);
+}
+
 TEST(RuntimeContract, ListRankRejectsBadSuccessorsAndWeights) {
   auto rt = Runtime::builder().seed(2).build();
   // 0 -> 1 -> 2 (tail); a successor of 3 would index past the list.

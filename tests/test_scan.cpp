@@ -159,14 +159,27 @@ TEST(NativeScan, SegmentedCombinesMatchInstrumented) {
 }
 
 TEST(Scan, PrefixSumExclusiveReturnsTotal) {
-  vec<Elem> v(8);
-  for (size_t i = 0; i < 8; ++i) v.underlying()[i].payload = i + 1;
-  vec<uint64_t> out(8);
-  const uint64_t total = obl::prefix_sum_exclusive(
-      v.s(), out.s(), [](const Elem& e) { return e.payload; });
-  EXPECT_EQ(total, 36u);
-  EXPECT_EQ(out.underlying()[0], 0u);
-  EXPECT_EQ(out.underlying()[7], 28u);
+  // Natively and under a session (the tree scan), including n = 1 and 2,
+  // where the total is out[n-1] plus the last value alone.
+  auto check = [](size_t n) {
+    vec<Elem> v(n);
+    for (size_t i = 0; i < n; ++i) v.underlying()[i].payload = (i * 7) % 13;
+    vec<uint64_t> out(n);
+    const uint64_t total = obl::prefix_sum_exclusive(
+        v.s(), out.s(), [](const Elem& e) { return e.payload; });
+    uint64_t run = 0;
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(out.underlying()[i], run) << "n=" << n << " i=" << i;
+      run += v.underlying()[i].payload;
+    }
+    EXPECT_EQ(total, run) << "n=" << n;
+  };
+  for (size_t n : {size_t{1}, size_t{2}, size_t{8}, size_t{1000}}) {
+    check(n);
+    sim::Session s = sim::Session::analytic();
+    sim::ScopedSession guard(s);
+    check(n);
+  }
 }
 
 TEST(Scan, SpanIsLogarithmic) {
@@ -277,20 +290,6 @@ TEST(Compact, ObliviousMovesFillersBackStably) {
     prev = v.underlying()[i].payload;
   }
   for (size_t i = live; i < n; ++i) EXPECT_TRUE(v.underlying()[i].is_filler());
-}
-
-TEST(Compact, RevealReturnsLiveCountAndOrder) {
-  constexpr size_t n = 100;
-  vec<Elem> v(n);
-  for (size_t i = 0; i < n; ++i) {
-    v.underlying()[i].payload = i;
-    if (i % 4 != 1) v.underlying()[i].flags = Elem::kFiller;
-  }
-  const size_t live = obl::compact_reveal(v.s());
-  EXPECT_EQ(live, 25u);
-  for (size_t i = 0; i < live; ++i) {
-    EXPECT_EQ(v.underlying()[i].payload, 4 * i + 1);
-  }
 }
 
 TEST(Compact, ObliviousTraceIndependentOfFillerPositions) {
