@@ -21,8 +21,8 @@
 // ranks* of the input, which are uniform, hence simulatable (paper §C.4).
 //
 // Input of any length is accepted (power-of-two padding is internal).
-// Elem::extra is clobbered (it holds the permuted position used for
-// tie-breaking). Keys equal to the filler sentinel 2^64 - 1 and
+// Elem::extra is clobbered (it holds the bit-reversed permuted position
+// used for tie-breaking). Keys equal to the filler sentinel 2^64 - 1 and
 // filler-flagged records ARE accepted, at every n: ORP routes input
 // fillers like any record (real elements first, fillers trailing), and
 // the comparison phase orders by (key, permuted position), so
@@ -78,12 +78,21 @@ inline void osort(const slice<obl::Elem>& a, uint64_t seed,
     detail::orp(a, perm.first(n), util::hash_rand(seed, 31 + attempt), params,
                 sorter);
 
-    // Permuted position -> Elem::extra: the tie-break that makes
-    // (key, extra) a strict total order with uniform ranks for equal
-    // keys, which both comparison phases rely on.
+    // Bit-reversed permuted position -> Elem::extra: the tie-break that
+    // makes (key, extra) a strict total order with uniform ranks for equal
+    // keys, which both comparison phases rely on. Reversing the bits
+    // spreads each run of consecutive positions (one REC-SORT phase-1
+    // partition) over the whole tie-break range, so a partition's copies
+    // of one key split across the coarse pivot ranges instead of all
+    // landing in one bin. Fillers (ORP's revealed suffix) become
+    // last_filler(), ordering after every record keyed 2^64 - 1.
+    const unsigned bits = util::log2_exact(padded);
     obl::kernel::transform_range(
-        perm, 0, padded, Tick::PerElem,
-        [](Elem& e, size_t i) { e.extra = static_cast<uint32_t>(i); });
+        perm, 0, padded, Tick::PerElem, [bits](Elem& e, size_t i) {
+          e.extra = e.is_filler()
+                        ? last_filler().extra
+                        : static_cast<uint32_t>(util::reverse_bits(i, bits));
+        });
 
     try {
       if (spms) {

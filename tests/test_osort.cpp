@@ -135,15 +135,16 @@ TEST(Osort, SpanIsPolylog) {
 
 TEST(RuntimeSort, SentinelKeysSurviveRecSort) {
   // Keys equal to the filler sentinel 2^64 - 1 are accepted (osort.hpp).
-  // At these sizes REC-SORT gathers its bins into one base case, and its
-  // bins, gather buffer and pivot sample are padded with fillers: the
+  // At the larger sizes REC-SORT gathers its bins into one base case, and
+  // its bins, gather buffer and pivot sample are padded with fillers: the
   // padding must order after the real sentinel-keyed records, or they come
-  // back as fillers or overflow a bin. A 4-thread Runtime forks REC-SORT's
-  // base case and ORBA's partitions on its pool.
+  // back as fillers or overflow a bin. At 300 REC-SORT bitonic-sorts the
+  // whole padded array, ORP's filler suffix included. A 4-thread Runtime
+  // forks REC-SORT's base case and ORBA's partitions on its pool.
   constexpr uint64_t kSentinel = ~uint64_t{0};
   auto rt = Runtime::builder().threads(4).seed(11).build();
-  for (const size_t n :
-       {size_t{1} << 14, (size_t{1} << 14) + 37, size_t{1} << 16}) {
+  for (const size_t n : {size_t{300}, size_t{1} << 14,
+                         (size_t{1} << 14) + 37, size_t{1} << 16}) {
     SCOPED_TRACE(n);
     util::Rng rng(n);
     std::vector<Elem> in(n);
@@ -167,6 +168,42 @@ TEST(RuntimeSort, SentinelKeysSurviveRecSort) {
     }
     std::sort(payloads.begin(), payloads.end());
     for (size_t i = 0; i < n; ++i) ASSERT_EQ(payloads[i], i);
+  }
+}
+
+TEST(RuntimeSort, DuplicateHeavyKeysSurviveRecSortRecursion) {
+  // rec_bin = 256 with gamma = 4 makes REC-SORT recurse at these sizes
+  // (the auto parameters only do from n = 2^19). Phase 1's partitions are
+  // runs of consecutive permuted positions, so a tie-break that is the
+  // position itself puts all of a partition's copies of one key into one
+  // coarse range, and keys drawn from 1 or 4 values overflowed a bin on
+  // every retry. The bit-reversed position spreads them.
+  for (const size_t n : {size_t{1} << 14, size_t{1} << 15}) {
+    core::SortParams p = core::SortParams::auto_for(n);
+    p.rec_bin = 256;
+    p.gamma = 4;
+    auto rt = Runtime::builder().threads(4).seed(5).params(p).build();
+    for (const uint64_t distinct : {uint64_t{1}, uint64_t{4}}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " keys=" << distinct);
+      util::Rng rng(n + distinct);
+      std::vector<Elem> in(n);
+      for (size_t i = 0; i < n; ++i) {
+        in[i].key = rng.below(distinct);
+        in[i].payload = i;
+      }
+      vec<Elem> v(in);
+      ASSERT_NO_THROW(rt.sort(v.s()));
+      const std::vector<Elem>& out = v.underlying();
+      EXPECT_TRUE(test::sorted_by_key(out));
+      std::vector<uint64_t> payloads;
+      for (const Elem& e : out) {
+        ASSERT_LT(e.payload, n);
+        EXPECT_EQ(e.key, in[e.payload].key);
+        payloads.push_back(e.payload);
+      }
+      std::sort(payloads.begin(), payloads.end());
+      for (size_t i = 0; i < n; ++i) ASSERT_EQ(payloads[i], i);
+    }
   }
 }
 
