@@ -25,10 +25,10 @@
 // used for tie-breaking). Keys equal to the filler sentinel 2^64 - 1 and
 // filler-flagged records ARE accepted, at every n: ORP routes input
 // fillers like any record (real elements first, fillers trailing), and
-// the comparison phase orders by (key, permuted position), so
-// sentinel-keyed records sort after every smaller key with arbitrary
-// relative order among themselves. The padding REC-SORT adds of its own
-// (core::last_filler) orders after them. The composite primitives' sink
+// the comparison phase orders by (key, bit-reversed permuted position),
+// so sentinel-keyed records sort after every smaller key with arbitrary
+// relative order among themselves. ORP's fillers and the padding REC-SORT
+// adds of its own are core::last_filler(), which orders after them. The composite primitives' sink
 // conventions (send-receive re-keys absorbed records to the sentinel;
 // scratch arrays carry filler padding) rely on exactly this, so it is
 // contract, not accident.
@@ -79,13 +79,13 @@ inline void osort(const slice<obl::Elem>& a, uint64_t seed,
                 sorter);
 
     // Bit-reversed permuted position -> Elem::extra: the tie-break that
-    // makes (key, extra) a strict total order with uniform ranks for equal
-    // keys, which both comparison phases rely on. Reversing the bits
-    // spreads each run of consecutive positions (one REC-SORT phase-1
-    // partition) over the whole tie-break range, so a partition's copies
-    // of one key split across the coarse pivot ranges instead of all
-    // landing in one bin. Fillers (ORP's revealed suffix) become
-    // last_filler(), ordering after every record keyed 2^64 - 1.
+    // makes (key, extra) a strict total order on the real records, with
+    // uniform ranks for equal keys, which both comparison phases rely on.
+    // Reversing the bits spreads each run of consecutive positions (one
+    // REC-SORT phase-1 partition) over the whole tie-break range, so a
+    // partition's copies of one key split across the coarse pivot ranges
+    // instead of all landing in one bin. Fillers (ORP's revealed suffix)
+    // become last_filler(), ordering after every record keyed 2^64 - 1.
     const unsigned bits = util::log2_exact(padded);
     obl::kernel::transform_range(
         perm, 0, padded, Tick::PerElem, [bits](Elem& e, size_t i) {

@@ -10,8 +10,8 @@
 // exactly as the paper reports.
 //
 // REC-SORT runs *after* the oblivious permutation, so none of this needs to
-// be oblivious; ties are broken by the permuted position (Elem::extra) so
-// duplicate-heavy inputs still split evenly.
+// be oblivious; ties are broken by the bit-reversed permuted position
+// (Elem::extra) so duplicate-heavy inputs still split evenly.
 
 #include <cassert>
 #include <stdexcept>
@@ -27,8 +27,8 @@
 namespace dopar::core {
 
 /// Lexicographic (key, extra) order: the comparator of the whole REC-SORT
-/// phase. `extra` holds the element's position in the permuted array, so
-/// equal keys have uniformly random relative ranks.
+/// phase. `extra` holds the element's bit-reversed position in the
+/// permuted array, so equal keys have uniformly random relative ranks.
 struct LessKeyExtra {
   bool operator()(const obl::Elem& a, const obl::Elem& b) const {
     if (a.key != b.key) return a.key < b.key;
@@ -38,8 +38,8 @@ struct LessKeyExtra {
 
 /// REC-SORT's own padding: a filler that orders after every record under
 /// LessKeyExtra, those keyed 2^64 - 1 included (a real record's extra is
-/// its permuted position, below 2^32 - 1). Elem::filler() has extra 0 and
-/// would order before them.
+/// its bit-reversed permuted position, below 2^32 - 1). Elem::filler() has
+/// extra 0 and would order before them.
 inline obl::Elem last_filler() {
   obl::Elem e = obl::Elem::filler();
   e.extra = ~uint32_t{0};

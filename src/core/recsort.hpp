@@ -173,7 +173,8 @@ inline void recsort_rec(const RsView& src, const RsView& dst, size_t nbins,
 /// Sort the randomly permuted array `a` (|a| a power of two). Fillers, if
 /// any, must form a suffix of `a` (the natural shape after power-of-two
 /// padding); they end up as a suffix of the output. Elem::extra must hold
-/// the permuted position for tie-breaking. Throws RecsortOverflow
+/// a distinct tie-break below 2^32 - 1 (osort's bit-reversed permuted
+/// position). Throws RecsortOverflow
 /// (re-permute and retry) with negligible probability.
 inline void rec_sort(const slice<obl::Elem>& a, uint64_t seed,
                      const SortParams& params) {

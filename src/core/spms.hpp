@@ -33,10 +33,12 @@
 // holds <= (t + k) * s elements. The tunings below pick s and t so this
 // bound is a small constant multiple of the serial cutoff — buckets never
 // re-enter the partition phase. The bound needs a strict total order;
-// the oblivious pipeline guarantees one by tie-breaking on the permuted
-// position (Elem::extra, see LessKeyExtra). With a weak order (massive
-// duplicates) the algorithm stays correct — an oversized bucket simply
-// falls back to the merge tree — only the balance guarantee weakens.
+// the oblivious pipeline guarantees one among real records by
+// tie-breaking on the bit-reversed permuted position (Elem::extra, see
+// LessKeyExtra; its fillers are identical records). With a weak order
+// (massive duplicates) the algorithm stays correct — an oversized bucket
+// simply falls back to the merge tree — only the balance guarantee
+// weakens.
 //
 // Work O(n log n), span O(log n) per merge level below the fork tree
 // (polylog overall), cache O((n/B) log_M n)-shaped: the partition pass is
@@ -76,11 +78,12 @@ inline constexpr SpmsTuning kSpmsTheoretical{32, 32, 256};
 namespace detail {
 
 /// SPMS comparison sort of `a` by (key, extra) — see LessKeyExtra. Meant
-/// for randomly permuted arrays (Elem::extra = permuted position): the
-/// paper proves the access pattern of a comparison sort on a randomly
-/// permuted input is simulatable, and the position tie-break gives the
-/// strict total order the bucket-balance bound needs. Deterministic: no
-/// internal randomness, any input length, sorts in place.
+/// for randomly permuted arrays (Elem::extra = bit-reversed permuted
+/// position): the paper proves the access pattern of a comparison sort on
+/// a randomly permuted input is simulatable, and the position tie-break
+/// gives the strict total order the bucket-balance bound needs.
+/// Deterministic: no internal randomness, any input length, sorts in
+/// place.
 void spms_sort(const slice<obl::Elem>& a, const SpmsTuning& tuning);
 
 }  // namespace detail
