@@ -159,8 +159,8 @@ TEST(NativeScan, SegmentedCombinesMatchInstrumented) {
 }
 
 TEST(Scan, PrefixSumExclusiveReturnsTotal) {
-  // Natively and under a session (the tree scan), including n = 1 and 2,
-  // where the total is out[n-1] plus the last value alone.
+  // Natively (3000 spans several scan blocks) and under a session (the
+  // tree scan). At n = 1 the total is the last value alone.
   auto check = [](size_t n) {
     vec<Elem> v(n);
     for (size_t i = 0; i < n; ++i) v.underlying()[i].payload = (i * 7) % 13;
@@ -174,7 +174,8 @@ TEST(Scan, PrefixSumExclusiveReturnsTotal) {
     }
     EXPECT_EQ(total, run) << "n=" << n;
   };
-  for (size_t n : {size_t{1}, size_t{2}, size_t{8}, size_t{1000}}) {
+  for (size_t n :
+       {size_t{1}, size_t{2}, size_t{8}, size_t{1000}, size_t{3000}}) {
     check(n);
     sim::Session s = sim::Session::analytic();
     sim::ScopedSession guard(s);
